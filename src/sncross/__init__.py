@@ -31,6 +31,7 @@ from .diagnostics import (
 from .em import (
     EStepCache,
     FitResult,
+    Kernel,
     RankDeficiencyError,
     Scenario,
     ThetaState,
@@ -40,6 +41,7 @@ from .em import (
     e_step,
     fit,
     initialize,
+    kernel,
     marginal_loglik,
     nr_step,
     q_gradient,

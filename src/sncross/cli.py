@@ -41,7 +41,7 @@ _SCENARIOS = {
 
 def _result_payload(result: FitResult, scenario_name: str) -> dict:
     theta = result.theta
-    estimates = dict(zip(result.param_names, map(float, _flatten_estimates(result))))
+    estimates = dict(zip(result.param_names, map(float, result.estimates)))
     ses = (
         dict(zip(result.param_names, [float(v) for v in result.se]))
         if result.se is not None
@@ -66,14 +66,6 @@ def _result_payload(result: FitResult, scenario_name: str) -> dict:
         "lambda_singularity_warning": bool(result.lambda_warning),
     }
     return payload
-
-
-def _flatten_estimates(result: FitResult) -> list[float]:
-    theta = result.theta
-    vals = list(theta.beta) + [theta.sigma_e2, theta.sigma_s2]
-    if "lambda" in result.param_names:
-        vals.append(theta.lam)
-    return vals
 
 
 def _write_json(path: Path, payload) -> None:
@@ -226,8 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fit.add_argument("--tol", type=float, default=5e-3, help="convergence tolerance")
     p_fit.add_argument("--max-iter", type=int, default=500, help="EM iteration cap")
-    p_fit.add_argument("--seed", type=int, default=0, help="unused by fit; accepted for uniformity")
-    p_fit.add_argument("--workers", type=int, default=1, help="unused by fit; accepted for uniformity")
     p_fit.add_argument("--out-dir", default=".", help="where to write JSON/CSV outputs")
     p_fit.set_defaults(func=cmd_fit)
 
@@ -243,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag = sub.add_parser("diagnose", help="goodness-of-fit for a stored fit")
     p_diag.add_argument("--fit", required=True, help="fit JSON from the fit command")
     p_diag.add_argument("--data", required=True, help="the dataset the fit used")
-    p_diag.add_argument("--seed", type=int, default=0)
     p_diag.add_argument("--out-dir", default=".")
     p_diag.set_defaults(func=cmd_diagnose)
     return parser

@@ -10,8 +10,8 @@ The fixed-effects matrix X carries, in order: an intercept column, p-1
 period indicators, t-1 treatment indicators driven by the sequence's
 assignment row, m-1 response indicators, and one constant column per
 covariate.  Level 1 of period, treatment and response is the reference
-level and is dropped.  The random-effect design Z is the all-ones column
-(random subject intercept).
+level and is dropped.  The random-effect design is the all-ones column
+(random subject intercept), implicit in the engine's covariance structure.
 """
 
 from __future__ import annotations
@@ -105,10 +105,9 @@ class CrossoverLayout:
 
 @dataclass(frozen=True)
 class DesignPair:
-    """Fixed-effects matrix X (pm x q) and random-effect column Z (pm,)."""
+    """Fixed-effects matrix X (pm x q) of one subject."""
 
     X: np.ndarray
-    Z: np.ndarray
 
 
 def response_order(layout: CrossoverLayout) -> list[tuple[int, int]]:
@@ -177,7 +176,7 @@ def build_design(
     base = 1 + (p - 1) + (t - 1) + (m - 1)
     for j, name in enumerate(layout.covariates):
         X[:, base + j] = float(covariate_values[name])
-    return DesignPair(X=X, Z=np.ones(layout.pm))
+    return DesignPair(X=X)
 
 
 def covariate_w(sequence_size: int, subject: int) -> int:

@@ -2,9 +2,9 @@
 
 Mahalanobis distances of fitted subjects against their chi-square reference,
 Healy-type plot coordinates, a one-sample Kolmogorov-Smirnov test,
-standardized residuals, and AIC/BIC.  The observed-data log-likelihood
-itself lives in the engine (re-exported here) because the EM loop and the
-standard errors consume it directly.
+standardized residuals, and AIC/BIC.  The observed-data log-likelihood and
+AIC/BIC live in the engine (re-exported here) because the EM loop and the
+standard errors consume them directly.
 
 Plot data is emitted as rows of a ``kind,index,x,y`` CSV; rendering is left
 to external tooling.
@@ -19,7 +19,7 @@ import numpy as np
 from scipy import special
 
 from .design import TrialData
-from .em import ThetaState, assemble, e_step, marginal_loglik, _chol_bundle
+from .em import ThetaState, aic_bic, e_step, kernel, marginal_loglik, residuals
 
 __all__ = [
     "GofReport",
@@ -50,13 +50,6 @@ class GofReport:
     healy_points: list[tuple[float, float]]
 
 
-def aic_bic(loglik: float, k: int, n_obs: int) -> tuple[float, float]:
-    """Akaike and Bayesian information criteria (lower is better)."""
-    aic = 2.0 * k - 2.0 * loglik
-    bic = k * float(np.log(n_obs)) - 2.0 * loglik
-    return aic, bic
-
-
 def chi2_cdf(x, df: int):
     """Chi-square distribution function via the regularized incomplete gamma."""
     x = np.asarray(x, dtype=float)
@@ -78,15 +71,10 @@ def mahalanobis(theta: ThetaState, data: TrialData) -> np.ndarray:
     (the raw, not mean-corrected, intercept); under the model the distances
     follow a chi-square law with pm degrees of freedom.
     """
-    pm = data.layout.pm
-    V, d = assemble(theta, np.ones(pm))
-    Vinv, _ = _chol_bundle(V)
-    A = Vinv @ d
-    c = float(d @ A)
-    resid = data.y - data.X @ theta.beta
-    quad_v = np.einsum("np,pq,nq->n", resid, Vinv, resid)
-    u = resid @ A
-    return quad_v - u * u / (1.0 + c)
+    k = kernel(theta, data.layout.pm)
+    resid = residuals(data, theta.beta)
+    u = resid @ k.A
+    return np.einsum("np,pq,nq->n", resid, k.Vinv, resid) - u * u / (1.0 + k.c)
 
 
 def ks_test(distances, df: int) -> tuple[float, float]:
@@ -129,8 +117,8 @@ def standardized_residuals(theta: ThetaState, data: TrialData) -> np.ndarray:
     marginal residuals.
     """
     cache = e_step(theta, data)
-    resid = data.y - data.X @ theta.beta - np.outer(cache.T01, cache.d)
-    return resid / np.sqrt(np.diag(cache.V))
+    k = cache.kernel
+    return (residuals(data, theta.beta) - np.outer(cache.T01, k.d)) / np.sqrt(np.diag(k.V))
 
 
 def gof_report(theta: ThetaState, data: TrialData) -> GofReport:
@@ -164,9 +152,9 @@ def plot_data_rows(theta: ThetaState, data: TrialData) -> list[tuple[str, int, f
     theo = chi2_quantile((np.arange(1, n + 1) - 0.5) / n, df)
     for idx in range(n):
         rows.append(("qq_chisq", idx, float(theo[idx]), float(d_sorted[idx])))
-    cache = e_step(theta, data)
-    fitted = data.X @ theta.beta + np.outer(cache.T01, cache.d)
-    std_resid = (data.y - fitted) / np.sqrt(np.diag(cache.V))
+    std_resid = standardized_residuals(theta, data)
+    # fitted = X beta + d T01, the response minus the unscaled residual
+    fitted = data.y - std_resid * np.sqrt(np.diag(kernel(theta, data.layout.pm).V))
     flat_f = fitted.ravel()
     flat_r = std_resid.ravel()
     for idx in range(flat_f.size):

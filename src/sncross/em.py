@@ -24,6 +24,12 @@ first-coordinate projector):
                 d = sigma_s * delta * 1_pm
     normal:     V = sigma_s2 J + sigma_e2 I, d = 0, lambda pinned at 0
 
+Every subject shares V and d, so one ``Kernel`` per theta holds them with
+V^{-1}, log|V|, A = V^{-1} d and c = d'A.  With R = y - X beta stacked one
+row per subject, Q and its xi-derivatives depend on the data only through
+S = R'R (pm x pm), r = R'T01 and sum T02: each term is a pm x pm trace, and
+forming those statistics is the only part of a Q evaluation that grows with n.
+
 Every M-step increases the Q-function (beta update exactly, the NR step by
 step halving), so the observed-data log-likelihood trajectory is
 non-decreasing.
@@ -80,20 +86,31 @@ class ThetaState:
         return replace(self, sigma_e2=float(xi[0]), sigma_s2=float(xi[1]), lam=float(xi[2]))
 
 
-@dataclass
-class EStepCache:
-    """Conditional moments and covariance bundle from one E-step.
+@dataclass(frozen=True)
+class Kernel:
+    """Covariance structure at one theta, shared by all subjects.
 
-    V, its inverse and d are shared by all subjects (Z is the all-ones
-    column); eta, T01 and T02 are per-subject vectors.  T01/T02 stay frozen
-    while the M-step moves the parameters.
+    V and d as assembled, V^{-1} and log|V| from the Cholesky factor of V,
+    A = V^{-1} d and c = d' V^{-1} d.
     """
 
     V: np.ndarray
     Vinv: np.ndarray
     logdet: float
     d: np.ndarray
-    dVinvd: float
+    A: np.ndarray
+    c: float
+
+
+@dataclass
+class EStepCache:
+    """Covariance kernel and conditional moments from one E-step.
+
+    eta, T01 and T02 are per-subject vectors; T01/T02 stay frozen while the
+    M-step moves the parameters.
+    """
+
+    kernel: Kernel
     zeta2: float
     eta: np.ndarray
     T01: np.ndarray
@@ -119,6 +136,11 @@ class FitResult:
     lambda_warning: bool = False
     nr_stalls: int = 0
 
+    @property
+    def estimates(self) -> np.ndarray:
+        """Free-parameter estimates in ``param_names`` order."""
+        return _free_vector(self.theta, "lambda" in self.param_names)
+
 
 class RankDeficiencyError(np.linalg.LinAlgError):
     """Normal equations for the fixed effects are singular."""
@@ -129,18 +151,15 @@ class RankDeficiencyError(np.linalg.LinAlgError):
 # ---------------------------------------------------------------------------
 
 
-def assemble(theta: ThetaState, z: np.ndarray):
-    """Conditional covariance V and skew loading d for one subject.
+def assemble(theta: ThetaState, pm: int):
+    """Conditional covariance V and skew loading d for one subject of pm observations.
 
-    Returns (V, d) with V symmetric positive definite (for admissible
-    parameters) and d of the same length as z.  Positive definiteness is
-    not checked here; downstream Cholesky factorizations raise LinAlgError
-    on parameter escapes, which the NR safeguards catch.
+    Returns (V, d) with V symmetric positive definite for admissible
+    parameters.  Positive definiteness is not checked here; ``kernel``
+    raises LinAlgError on parameter escapes, which the NR safeguards catch.
     """
-    z = np.asarray(z, dtype=float)
-    pm = z.shape[0]
     delta = delta_of_lambda(theta.lam)
-    J = np.outer(z, z)
+    J = np.ones((pm, pm))
     if theta.scenario is Scenario.ERROR_SN:
         R = np.eye(pm)
         R[0, 0] -= delta * delta
@@ -149,19 +168,27 @@ def assemble(theta: ThetaState, z: np.ndarray):
         d[0] = np.sqrt(theta.sigma_e2) * delta
     elif theta.scenario is Scenario.EFFECT_SN:
         V = theta.sigma_s2 * (1.0 - delta * delta) * J + theta.sigma_e2 * np.eye(pm)
-        d = np.sqrt(theta.sigma_s2) * delta * z
+        d = np.full(pm, np.sqrt(theta.sigma_s2) * delta)
     else:
         V = theta.sigma_s2 * J + theta.sigma_e2 * np.eye(pm)
         d = np.zeros(pm)
     return V, d
 
 
-def _chol_bundle(V: np.ndarray):
-    """Cholesky-based inverse and log-determinant; raises LinAlgError if not PD."""
+def kernel(theta: ThetaState, pm: int) -> Kernel:
+    """Assemble V and d and factor V; raises LinAlgError if V is not PD."""
+    V, d = assemble(theta, pm)
     L = np.linalg.cholesky(V)
-    Vinv = sla.cho_solve((L, True), np.eye(V.shape[0]))
+    Vinv = sla.cho_solve((L, True), np.eye(pm))
+    A = Vinv @ d
     logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-    return Vinv, logdet
+    return Kernel(V=V, Vinv=Vinv, logdet=logdet, d=d, A=A, c=float(d @ A))
+
+
+def residuals(data: TrialData, beta: np.ndarray) -> np.ndarray:
+    """R = y - X beta, one row per subject, as one matrix-vector product."""
+    n, pm, q = data.X.shape
+    return data.y - (data.X.reshape(-1, q) @ beta).reshape(n, pm)
 
 
 def _xi_derivatives(theta: ThetaState, pm: int):
@@ -246,33 +273,31 @@ def e_step(theta: ThetaState, data: TrialData) -> EStepCache:
 
     and (T01, T02) are the positive-truncated N(eta, zeta^2) moments.
     """
-    pm = data.layout.pm
-    V, d = assemble(theta, np.ones(pm))
-    Vinv, logdet = _chol_bundle(V)
-    A = Vinv @ d
-    c = float(d @ A)
-    zeta2 = 1.0 / (1.0 + c)
-    resid = data.y - data.X @ theta.beta
-    eta = (resid @ A) * zeta2
+    k = kernel(theta, data.layout.pm)
+    zeta2 = 1.0 / (1.0 + k.c)
+    eta = (residuals(data, theta.beta) @ k.A) * zeta2
     T01, T02 = conditional_t_moments(eta, np.sqrt(zeta2))
-    return EStepCache(
-        V=V, Vinv=Vinv, logdet=logdet, d=d, dVinvd=c, zeta2=zeta2,
-        eta=eta, T01=T01, T02=T02,
-    )
+    return EStepCache(kernel=k, zeta2=zeta2, eta=eta, T01=T01, T02=T02)
 
 
 def update_beta(theta: ThetaState, data: TrialData, cache: EStepCache) -> np.ndarray:
     """Closed-form Q maximizer over the fixed effects.
 
     beta = (sum X' V^{-1} X)^{-1} sum X' V^{-1} (y - d T01).
+    """
+    k = cache.kernel
+    return _gls(data, k.Vinv, data.y - np.outer(cache.T01, k.d))
+
+
+def _gls(data: TrialData, Vinv: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Solve (sum X' V^{-1} X) beta = sum X' V^{-1} target over all subjects.
+
     Raises RankDeficiencyError naming the dependent columns when the pooled
     normal equations are singular.
     """
-    Xt = data.X.transpose(0, 2, 1)
-    XtV = Xt @ cache.Vinv
-    M = np.einsum("nqp,npr->qr", XtV, data.X)
-    adj = data.y - np.outer(cache.T01, cache.d)
-    rhs = np.einsum("nqp,np->q", XtV, adj)
+    XtV = np.tensordot(data.X, Vinv, axes=(1, 0))  # (n, q, pm): X_i' V^{-1}
+    M = np.tensordot(XtV, data.X, axes=([0, 2], [0, 1]))
+    rhs = np.tensordot(XtV, target, axes=([0, 2], [0, 1]))
     try:
         L = np.linalg.cholesky(M)
         return sla.cho_solve((L, True), rhs)
@@ -287,53 +312,54 @@ def update_beta(theta: ThetaState, data: TrialData, cache: EStepCache) -> np.nda
         ) from None
 
 
+def _q_statistics(theta: ThetaState, data: TrialData, cache: EStepCache):
+    """All that Q and its xi-derivatives use of the data.
+
+    Returns (S, r, sum T02) with S = R'R and r = R'T01, R = y - X beta.
+    """
+    R = residuals(data, theta.beta)
+    return R.T @ R, cache.T01 @ R, float(cache.T02.sum())
+
+
 def q_value(theta: ThetaState, data: TrialData, cache: EStepCache) -> float:
     """Expected complete-data log-likelihood at theta, T01/T02 frozen.
 
-    Q = -1/2 sum_ij [ log|V| + (1 + d'V^{-1}d) T02
-                      + u' V^{-1} (u - 2 d T01) ],  u = y - X beta.
+    Q = -1/2 sum_ij [ log|V| + (1 + d'V^{-1}d) T02 + u' V^{-1} (u - 2 d T01) ]
+      = -1/2 [ n log|V| + (1 + c) sum T02 + tr(V^{-1} S) - 2 A'r ].
     """
-    pm = data.layout.pm
-    V, d = assemble(theta, np.ones(pm))
-    Vinv, logdet = _chol_bundle(V)
-    A = Vinv @ d
-    c = float(d @ A)
-    resid = data.y - data.X @ theta.beta
-    quad = np.einsum("np,pq,nq->n", resid, Vinv, resid)
-    lin = resid @ A
-    n = data.n_subjects
-    total = (
-        n * logdet
-        + (1.0 + c) * float(cache.T02.sum())
-        + float(quad.sum())
-        - 2.0 * float(cache.T01 @ lin)
+    k = kernel(theta, data.layout.pm)
+    S, r, sum_T02 = _q_statistics(theta, data, cache)
+    return -0.5 * (
+        data.n_subjects * k.logdet
+        + (1.0 + k.c) * sum_T02
+        + float(np.vdot(k.Vinv, S))
+        - 2.0 * float(k.A @ r)
     )
-    return -0.5 * total
 
 
 def q_gradient(theta: ThetaState, data: TrialData, cache: EStepCache) -> np.ndarray:
     """Analytic gradient of the Q-function in xi = (sigma_e2, sigma_s2, lambda).
 
     T01/T02 are held fixed at the cached E-step values.  For the normal
-    baseline the third component is identically zero (lambda pinned).
+    baseline the third component is identically zero (lambda pinned).  With
+    W_a = -V^{-1} V_a V^{-1} the data term of component a is
+    tr(W_a S) - 2 w_a'r, w_a = W_a d + V^{-1} d_a.
     """
     pm = data.layout.pm
-    V, d = assemble(theta, np.ones(pm))
-    Vinv, _ = _chol_bundle(V)
+    k = kernel(theta, pm)
     V_first, d_first, _, _ = _xi_derivatives(theta, pm)
-    resid = data.y - data.X @ theta.beta
-    n = data.n_subjects
-    sum_T02 = float(cache.T02.sum())
+    S, r, sum_T02 = _q_statistics(theta, data, cache)
     grad = np.zeros(3)
     for a in range(3):
-        Pa = Vinv @ V_first[a]
-        Wa = -Pa @ Vinv
-        tr_a = float(np.trace(Pa))
-        qd = float(d @ Wa @ d) + 2.0 * float(d @ Vinv @ d_first[a])
-        quad = np.einsum("np,pq,nq->n", resid, Wa, resid)
-        lin = resid @ (Wa @ d + Vinv @ d_first[a])
+        Pa = k.Vinv @ V_first[a]
+        Wa = -Pa @ k.Vinv
+        qd = float(k.d @ Wa @ k.d) + 2.0 * float(k.A @ d_first[a])
+        w = Wa @ k.d + k.Vinv @ d_first[a]
         grad[a] = -0.5 * (
-            n * tr_a + qd * sum_T02 + float(quad.sum()) - 2.0 * float(cache.T01 @ lin)
+            data.n_subjects * float(np.trace(Pa))
+            + qd * sum_T02
+            + float(np.vdot(Wa, S))
+            - 2.0 * float(w @ r)
         )
     return grad
 
@@ -346,15 +372,14 @@ def q_hessian(theta: ThetaState, data: TrialData, cache: EStepCache) -> np.ndarr
         S_ab = V^{-1} V_a V^{-1} V_b V^{-1} + V^{-1} V_b V^{-1} V_a V^{-1}
                - V^{-1} V_ab V^{-1},
 
-    so the matrix agrees with finite differences of the gradient entrywise.
+    whose data term is tr(S_ab S), so the matrix agrees with finite
+    differences of the gradient entrywise.
     """
     pm = data.layout.pm
-    V, d = assemble(theta, np.ones(pm))
-    Vinv, _ = _chol_bundle(V)
+    k = kernel(theta, pm)
+    Vinv, d = k.Vinv, k.d
     V_first, d_first, V_second, d_second = _xi_derivatives(theta, pm)
-    resid = data.y - data.X @ theta.beta
-    n = data.n_subjects
-    sum_T02 = float(cache.T02.sum())
+    S, r, sum_T02 = _q_statistics(theta, data, cache)
     zeros_m = np.zeros((pm, pm))
     zeros_v = np.zeros(pm)
     P = [Vinv @ V_first[a] for a in range(3)]
@@ -371,16 +396,14 @@ def q_hessian(theta: ThetaState, data: TrialData, cache: EStepCache) -> np.ndarr
                 + 2.0 * float(d @ W[a] @ d_first[b])
                 + 2.0 * float(d_first[b] @ Vinv @ d_first[a])
                 + 2.0 * float(d @ W[b] @ d_first[a])
-                + 2.0 * float(d @ Vinv @ d_ab)
+                + 2.0 * float(k.A @ d_ab)
             )
-            quad = np.einsum("np,pq,nq->n", resid, S_ab, resid)
             w_vec = S_ab @ d + W[a] @ d_first[b] + W[b] @ d_first[a] + Vinv @ d_ab
-            lin = resid @ w_vec
             H[a, b] = -0.5 * (
-                n * tr_term
+                data.n_subjects * tr_term
                 + qd * sum_T02
-                + float(quad.sum())
-                - 2.0 * float(cache.T01 @ lin)
+                + float(np.vdot(S_ab, S))
+                - 2.0 * float(w_vec @ r)
             )
             H[b, a] = H[a, b]
     return H
@@ -439,28 +462,25 @@ def nr_step(
 # ---------------------------------------------------------------------------
 
 
-def marginal_loglik(theta: ThetaState, data: TrialData) -> float:
+def marginal_loglik(theta: ThetaState, data: TrialData, k: Kernel | None = None) -> float:
     """Observed-data log-likelihood, latent half-normal integrated out.
 
     Per subject, f(y) = 2 phi_pm(y | X beta, Sigma) Phi(eta / zeta) with
     Sigma = V + d d'; the rank-one structure gives
     log|Sigma| = log|V| + log(1 + d'V^{-1}d) and the Sherman-Morrison
-    quadratic form.
+    quadratic form, summed over subjects as tr(V^{-1} S) - u'u / (1 + c)
+    with u = R A.  ``k`` is the kernel at theta, built here when omitted.
     """
     pm = data.layout.pm
-    V, d = assemble(theta, np.ones(pm))
-    Vinv, logdet = _chol_bundle(V)
-    A = Vinv @ d
-    c = float(d @ A)
-    resid = data.y - data.X @ theta.beta
-    quad_v = np.einsum("np,pq,nq->n", resid, Vinv, resid)
-    u = resid @ A
-    quad_sigma = quad_v - u * u / (1.0 + c)
-    eta = u / (1.0 + c)
-    zeta = np.sqrt(1.0 / (1.0 + c))
-    n = data.n_subjects
-    const = np.log(2.0) - 0.5 * pm * _LOG_2PI - 0.5 * (logdet + np.log1p(c))
-    return float(n * const - 0.5 * quad_sigma.sum() + special.log_ndtr(eta / zeta).sum())
+    if k is None:
+        k = kernel(theta, pm)
+    R = residuals(data, theta.beta)
+    u = R @ k.A
+    quad = float(np.vdot(k.Vinv, R.T @ R)) - float(u @ u) / (1.0 + k.c)
+    eta = u / (1.0 + k.c)
+    zeta = np.sqrt(1.0 / (1.0 + k.c))
+    const = np.log(2.0) - 0.5 * pm * _LOG_2PI - 0.5 * (k.logdet + np.log1p(k.c))
+    return float(data.n_subjects * const - 0.5 * quad + special.log_ndtr(eta / zeta).sum())
 
 
 def initialize(
@@ -475,9 +495,8 @@ def initialize(
     information singularity) and at 0 for the baseline or when frozen.
     """
     n, pm, q = data.n_subjects, data.layout.pm, data.layout.n_fixed
-    X_flat = data.X.reshape(-1, q)
-    beta_ols, *_ = np.linalg.lstsq(X_flat, data.y.ravel(), rcond=None)
-    resid = data.y - data.X @ beta_ols
+    beta_ols, *_ = np.linalg.lstsq(data.X.reshape(-1, q), data.y.ravel(), rcond=None)
+    resid = residuals(data, beta_ols)
     if pm > 1:
         subj_mean = resid.mean(axis=1)
         msw = float(((resid - subj_mean[:, None]) ** 2).sum()) / (n * (pm - 1))
@@ -495,17 +514,19 @@ def initialize(
         sigma_e2 = 1e-6
     sigma_s2 = max(sigma_s2, 1e-6)
 
-    V0 = sigma_s2 * np.ones((pm, pm)) + sigma_e2 * np.eye(pm)
-    Vinv0, _ = _chol_bundle(V0)
-    Xt = data.X.transpose(0, 2, 1)
-    XtV = Xt @ Vinv0
-    M = np.einsum("nqp,npr->qr", XtV, data.X)
-    rhs = np.einsum("nqp,np->q", XtV, data.y)
-    beta0 = np.linalg.solve(M, rhs)
+    normal = ThetaState(np.zeros(q), sigma_e2, sigma_s2, 0.0, Scenario.NORMAL)
+    beta0 = _gls(data, kernel(normal, pm).Vinv, data.y)
     lam0 = 0.0 if (scenario is Scenario.NORMAL or freeze_lambda) else 1.0
     return ThetaState(
         beta=beta0, sigma_e2=sigma_e2, sigma_s2=sigma_s2, lam=lam0, scenario=scenario
     )
+
+
+def aic_bic(loglik: float, k: int, n_obs: int) -> tuple[float, float]:
+    """Akaike and Bayesian information criteria (lower is better)."""
+    aic = 2.0 * k - 2.0 * loglik
+    bic = k * float(np.log(n_obs)) - 2.0 * loglik
+    return aic, bic
 
 
 def corrected_intercept(theta: ThetaState) -> float:
@@ -555,37 +576,14 @@ def standard_errors(
     x0 = _free_vector(theta, include_lambda)
     p = x0.size
 
-    bundles: dict[tuple[float, float, float], tuple] = {}
+    kernels: dict[tuple[float, float, float], Kernel] = {}
 
     def loglik_at(vec: np.ndarray) -> float:
         th = _theta_from_vector(vec, q, theta, include_lambda)
         key = (th.sigma_e2, th.sigma_s2, th.lam)
-        bundle = bundles.get(key)
-        if bundle is None:
-            pm = data.layout.pm
-            V, d = assemble(th, np.ones(pm))
-            Vinv, logdet = _chol_bundle(V)
-            A = Vinv @ d
-            c = float(d @ A)
-            const = (
-                np.log(2.0)
-                - 0.5 * pm * _LOG_2PI
-                - 0.5 * (logdet + np.log1p(c))
-            )
-            bundle = (Vinv, A, c, const)
-            bundles[key] = bundle
-        Vinv, A, c, const = bundle
-        resid = data.y - data.X @ th.beta
-        quad_v = np.einsum("np,pq,nq->n", resid, Vinv, resid)
-        u = resid @ A
-        quad_sigma = quad_v - u * u / (1.0 + c)
-        zeta = np.sqrt(1.0 / (1.0 + c))
-        eta = u / (1.0 + c)
-        return float(
-            data.n_subjects * const
-            - 0.5 * quad_sigma.sum()
-            + special.log_ndtr(eta / zeta).sum()
-        )
+        if key not in kernels:
+            kernels[key] = kernel(th, data.layout.pm)
+        return marginal_loglik(th, data, kernels[key])
 
     h = 1e-4 * np.maximum(1.0, np.abs(x0))
     for k in (q, q + 1):  # keep variance perturbations positive
@@ -676,8 +674,7 @@ def fit(
     loglik = trajectory[-1]
     k = data.layout.n_fixed + int(active.sum())
     n_obs = data.n_obs
-    aic = 2.0 * k - 2.0 * loglik
-    bic = k * float(np.log(n_obs)) - 2.0 * loglik
+    aic, bic = aic_bic(loglik, k, n_obs)
     se = standard_errors(theta, data, include_lambda=lambda_free) if compute_se else None
     names = list(data.param_names) + ["sigma_e2", "sigma_s2"]
     if lambda_free:

@@ -191,14 +191,6 @@ def selection_rate(sn_aic, normal_aic) -> float:
     return float(np.mean(sn_aic < normal_aic))
 
 
-def _estimates(result: FitResult) -> np.ndarray:
-    theta = result.theta
-    vals = list(theta.beta) + [theta.sigma_e2, theta.sigma_s2]
-    if "lambda" in result.param_names:
-        vals.append(theta.lam)
-    return np.array(vals)
-
-
 def _param_names(config: SimConfig) -> tuple[str, ...]:
     return tuple(fixed_effect_index(config.layout)) + ("sigma_e2", "sigma_s2", "lambda")
 
@@ -269,9 +261,9 @@ def aggregate(config: SimConfig, results: list[ReplicateFits]) -> McSummary:
     truth_all = dict(zip(all_names, _estimates_true(config.true_theta)))
     sn_truth = np.array([truth_all[n] for n in sn_names])
     n_truth = np.array([truth_all[n] for n in n_names])
-    sn_est = np.array([_estimates(r.sn) for r in ok])
+    sn_est = np.array([r.sn.estimates for r in ok])
     sn_se = np.array([r.sn.se for r in ok])
-    n_est = np.array([_estimates(r.normal) for r in ok])
+    n_est = np.array([r.normal.estimates for r in ok])
     n_se = np.array([r.normal.se for r in ok])
     rate = selection_rate([r.sn.aic for r in ok], [r.normal.aic for r in ok])
     return McSummary(
@@ -342,7 +334,7 @@ def write_replicates_csv(path, config: SimConfig, results: list[ReplicateFits]) 
     rows = [header]
     for r in results:
         for label, res in (("sn", r.sn), ("normal", r.normal)):
-            est = dict(zip(res.param_names, _estimates(res)))
+            est = dict(zip(res.param_names, res.estimates))
             rows.append(
                 [r.index, label, int(res.converged), res.iterations,
                  repr(res.loglik), repr(res.aic), repr(res.bic)]

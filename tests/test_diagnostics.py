@@ -28,7 +28,7 @@ from sncross.diagnostics import (
     standardized_residuals,
     write_plot_csv,
 )
-from sncross.em import assemble, _chol_bundle
+from sncross.em import assemble, kernel
 from sncross.simulate import default_layout
 
 
@@ -52,7 +52,7 @@ def test_marginal_loglik_scalar_hand_value():
 def test_marginal_loglik_zero_shape_equals_gaussian(small_error_sn_data):
     data = small_error_sn_data
     theta = ThetaState(np.full(9, 0.3), 1.4, 0.6, 0.0, Scenario.ERROR_SN)
-    V, _ = assemble(theta, np.ones(12))
+    V, _ = assemble(theta, 12)
     sign, logdet = np.linalg.slogdet(V)
     Vinv = np.linalg.inv(V)
     resid = data.y - data.X @ theta.beta
@@ -69,8 +69,8 @@ def test_marginal_loglik_against_latent_integration(scenario, small_error_sn_dat
         default_true_theta(Scenario.ERROR_SN).beta, 1.5, 0.9, 2.2, scenario
     )
     pm = data.layout.pm
-    V, d = assemble(theta, np.ones(pm))
-    Vinv, logdet = _chol_bundle(V)
+    k = kernel(theta, pm)
+    d, Vinv, logdet = k.d, k.Vinv, k.logdet
     total = 0.0
     for i in range(data.n_subjects):
         u = data.y[i] - data.X[i] @ theta.beta
@@ -302,7 +302,7 @@ def test_standardized_residuals_zero_shape_are_marginal(small_error_sn_data):
     data = small_error_sn_data
     theta = ThetaState(np.full(9, 0.1), 1.2, 0.8, 0.0, Scenario.ERROR_SN)
     resid = standardized_residuals(theta, data)
-    V, _ = assemble(theta, np.ones(12))
+    V, _ = assemble(theta, 12)
     expected = (data.y - data.X @ theta.beta) / np.sqrt(np.diag(V))
     np.testing.assert_allclose(resid, expected, atol=1e-12)
 
@@ -319,7 +319,7 @@ def test_standardized_residuals_exact_fit_is_zero():
     for _ in range(200):
         work = assemble_trial_like(data, y)
         cache = e_step(theta, work)
-        y_new = data.X @ theta.beta + np.outer(cache.T01, cache.d)
+        y_new = data.X @ theta.beta + np.outer(cache.T01, cache.kernel.d)
         if np.abs(y_new - y).max() < 1e-13:
             y = y_new
             break

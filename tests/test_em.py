@@ -11,6 +11,7 @@ from conftest import truncated_moments_quadrature
 from sncross import (
     CrossoverLayout,
     EStepCache,
+    Kernel,
     RankDeficiencyError,
     RngStream,
     Scenario,
@@ -23,6 +24,7 @@ from sncross import (
     e_step,
     fit,
     initialize,
+    kernel,
     marginal_loglik,
     nr_step,
     q_gradient,
@@ -32,7 +34,7 @@ from sncross import (
     standard_errors,
     update_beta,
 )
-from sncross.em import _chol_bundle, _xi_derivatives
+from sncross.em import _xi_derivatives
 from sncross.simulate import default_layout
 
 SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
@@ -56,14 +58,14 @@ def _random_theta(rs, scenario, beta_dim=9):
 
 def test_assemble_error_sn_zero_shape_is_compound_symmetric():
     theta = ThetaState(np.zeros(2), 1.3, 0.7, 0.0, Scenario.ERROR_SN)
-    V, d = assemble(theta, np.ones(4))
+    V, d = assemble(theta, 4)
     np.testing.assert_allclose(V, 0.7 * np.ones((4, 4)) + 1.3 * np.eye(4), atol=1e-14)
     np.testing.assert_array_equal(d, np.zeros(4))
 
 
 def test_assemble_error_sn_loading():
     theta = ThetaState(np.zeros(2), 2.0, 0.5, 3.0, Scenario.ERROR_SN)
-    V, d = assemble(theta, np.ones(6))
+    V, d = assemble(theta, 6)
     expected = np.zeros(6)
     expected[0] = 1.3416407864998738  # sqrt(2) * 3/sqrt(10)
     np.testing.assert_allclose(d, expected, atol=1e-12)
@@ -75,7 +77,7 @@ def test_assemble_error_sn_loading():
 
 def test_assemble_effect_sn_loading():
     theta = ThetaState(np.zeros(2), 0.72, 3.0, 4.0, Scenario.EFFECT_SN)
-    V, d = assemble(theta, np.ones(12))
+    V, d = assemble(theta, 12)
     np.testing.assert_allclose(d, np.full(12, 1.6803361008336117), atol=1e-12)
     Rs = 1.0 - 16.0 / 17.0
     np.testing.assert_allclose(
@@ -86,7 +88,7 @@ def test_assemble_effect_sn_loading():
 def test_assemble_positive_definite():
     for scenario in Scenario:
         theta = ThetaState(np.zeros(2), 1.5, 0.8, 2.0, scenario)
-        V, _ = assemble(theta, np.ones(5))
+        V, _ = assemble(theta, 5)
         np.testing.assert_allclose(V, V.T, atol=1e-15)
         assert np.all(np.linalg.eigvalsh(V) > 0)
 
@@ -141,8 +143,8 @@ def test_e_step_posterior_moment_oracle(small_error_sn_data):
     for scenario in (Scenario.ERROR_SN, Scenario.EFFECT_SN):
         theta = _random_theta(rs, scenario)
         cache = e_step(theta, data)
-        V, d = assemble(theta, np.ones(data.layout.pm))
-        Vinv, _ = _chol_bundle(V)
+        k = kernel(theta, data.layout.pm)
+        d, Vinv = k.d, k.Vinv
         for i in (0, 5, 11):
             u = data.y[i] - data.X[i] @ theta.beta
 
@@ -191,7 +193,7 @@ def test_update_beta_reduces_to_gls(small_error_sn_data):
     cache = _manual_cache(theta, data, T01=np.zeros(data.n_subjects))
     beta = update_beta(theta, data, cache)
     Xt = data.X.transpose(0, 2, 1)
-    XtV = Xt @ cache.Vinv
+    XtV = Xt @ cache.kernel.Vinv
     M = np.einsum("nqp,npr->qr", XtV, data.X)
     rhs = np.einsum("nqp,np->q", XtV, data.y)
     np.testing.assert_allclose(beta, np.linalg.solve(M, rhs), rtol=1e-12)
@@ -224,9 +226,12 @@ def test_update_beta_hand_computation():
 
 
 def e_step_stub_cache():
-    return EStepCache(
+    k = Kernel(
         V=np.eye(3), Vinv=np.eye(3), logdet=0.0,
-        d=np.full(3, 0.5), dVinvd=0.75, zeta2=1.0 / 1.75,
+        d=np.full(3, 0.5), A=np.full(3, 0.5), c=0.75,
+    )
+    return EStepCache(
+        kernel=k, zeta2=1.0 / 1.75,
         eta=np.zeros(1), T01=np.array([1.0]), T02=np.array([1.0]),
     )
 
@@ -255,8 +260,8 @@ def test_q_value_zero_loading_collapse(small_error_sn_data):
     cache = _manual_cache(theta, data, T02=np.ones(data.n_subjects))
     q = q_value(theta, data, cache)
     resid = data.y - data.X @ theta.beta
-    quad = np.einsum("np,pq,nq->n", resid, cache.Vinv, resid)
-    expected = -0.5 * (data.n_subjects * (cache.logdet + 1.0) + quad.sum())
+    quad = np.einsum("np,pq,nq->n", resid, cache.kernel.Vinv, resid)
+    expected = -0.5 * (data.n_subjects * (cache.kernel.logdet + 1.0) + quad.sum())
     assert q == pytest.approx(expected, rel=1e-12)
 
 
@@ -545,8 +550,7 @@ def test_standard_errors_match_gls_oracle():
     )
     data = simulate_subjects(layout, truth, RngStream(62, 0))
     res = fit(data, Scenario.NORMAL, tol=1e-6, max_iter=2000)
-    V, _ = assemble(res.theta, np.ones(12))
-    Vinv, _ = _chol_bundle(V)
+    Vinv = kernel(res.theta, 12).Vinv
     Xt = data.X.transpose(0, 2, 1)
     M = np.einsum("nqp,npr->qr", Xt @ Vinv, data.X)
     gls_se = np.sqrt(np.diag(np.linalg.inv(M)))

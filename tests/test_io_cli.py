@@ -241,6 +241,21 @@ def test_cmd_fit_bad_data_exit_2(tmp_path):
     assert main(["fit", "--data", str(f), "--out-dir", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "--seed", "1"],
+        ["fit", "--workers", "2"],
+        ["diagnose", "--fit", "fit.json", "--seed", "1"],
+    ],
+)
+def test_flags_that_do_nothing_are_rejected(tmp_path, argv):
+    # fit and diagnose are deterministic: --seed and --workers would be ignored
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--data", str(tmp_path / "d.csv"), "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+
+
 def test_cmd_fit_non_convergence_exit_3(tmp_path, small_csv):
     path, _ = small_csv
     code = main(["fit", "--data", str(path), "--scenario", "error-sn",

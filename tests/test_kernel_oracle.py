@@ -1,0 +1,219 @@
+"""The covariance-kernel forms of Q, its derivatives, the marginal
+log-likelihood and the beta update against per-subject reference formulas.
+
+The oracle functions below evaluate every quantity subject by subject with
+``einsum``, straight from the model's definition, and factor V on their
+own.  The engine instead sums the data into S = R'R, r = R'T01 and sum T02
+first.  Both must agree to 1e-10 relative; only the summation order
+differs.
+"""
+
+import numpy as np
+import pytest
+from scipy import linalg as sla
+from scipy import special
+
+from sncross import (
+    RngStream,
+    Scenario,
+    ThetaState,
+    assemble,
+    default_true_theta,
+    e_step,
+    fit,
+    marginal_loglik,
+    q_gradient,
+    q_hessian,
+    q_value,
+    simulate_subjects,
+    update_beta,
+)
+from sncross import em
+from sncross.em import _xi_derivatives
+from sncross.simulate import default_layout
+
+SCENARIOS = [Scenario.ERROR_SN, Scenario.EFFECT_SN, Scenario.NORMAL]
+RTOL = 1e-10
+_LOG_2PI = np.log(2.0 * np.pi)
+
+
+# ---------------------------------------------------------------------------
+# oracle: per-subject forms
+# ---------------------------------------------------------------------------
+
+
+def _oracle_bundle(theta, pm):
+    V, d = assemble(theta, pm)
+    L = np.linalg.cholesky(V)
+    Vinv = sla.cho_solve((L, True), np.eye(pm))
+    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
+    return Vinv, logdet, d
+
+
+def oracle_q_value(theta, data, cache):
+    Vinv, logdet, d = _oracle_bundle(theta, data.layout.pm)
+    A = Vinv @ d
+    c = float(d @ A)
+    resid = data.y - data.X @ theta.beta
+    quad = np.einsum("np,pq,nq->n", resid, Vinv, resid)
+    lin = resid @ A
+    total = (
+        data.n_subjects * logdet
+        + (1.0 + c) * float(cache.T02.sum())
+        + float(quad.sum())
+        - 2.0 * float(cache.T01 @ lin)
+    )
+    return -0.5 * total
+
+
+def oracle_q_gradient(theta, data, cache):
+    pm = data.layout.pm
+    Vinv, _, d = _oracle_bundle(theta, pm)
+    V_first, d_first, _, _ = _xi_derivatives(theta, pm)
+    resid = data.y - data.X @ theta.beta
+    sum_T02 = float(cache.T02.sum())
+    grad = np.zeros(3)
+    for a in range(3):
+        Pa = Vinv @ V_first[a]
+        Wa = -Pa @ Vinv
+        qd = float(d @ Wa @ d) + 2.0 * float(d @ Vinv @ d_first[a])
+        quad = np.einsum("np,pq,nq->n", resid, Wa, resid)
+        lin = resid @ (Wa @ d + Vinv @ d_first[a])
+        grad[a] = -0.5 * (
+            data.n_subjects * float(np.trace(Pa))
+            + qd * sum_T02
+            + float(quad.sum())
+            - 2.0 * float(cache.T01 @ lin)
+        )
+    return grad
+
+
+def oracle_q_hessian(theta, data, cache):
+    pm = data.layout.pm
+    Vinv, _, d = _oracle_bundle(theta, pm)
+    V_first, d_first, V_second, d_second = _xi_derivatives(theta, pm)
+    resid = data.y - data.X @ theta.beta
+    sum_T02 = float(cache.T02.sum())
+    P = [Vinv @ V_first[a] for a in range(3)]
+    W = [-P[a] @ Vinv for a in range(3)]
+    H = np.zeros((3, 3))
+    for a in range(3):
+        for b in range(a, 3):
+            V_ab = V_second.get((a, b), np.zeros((pm, pm)))
+            d_ab = d_second.get((a, b), np.zeros(pm))
+            S_ab = (P[a] @ P[b] + P[b] @ P[a]) @ Vinv - Vinv @ V_ab @ Vinv
+            tr_term = -float(np.trace(P[b] @ P[a])) + float(np.trace(Vinv @ V_ab))
+            qd = (
+                float(d @ S_ab @ d)
+                + 2.0 * float(d @ W[a] @ d_first[b])
+                + 2.0 * float(d_first[b] @ Vinv @ d_first[a])
+                + 2.0 * float(d @ W[b] @ d_first[a])
+                + 2.0 * float(d @ Vinv @ d_ab)
+            )
+            quad = np.einsum("np,pq,nq->n", resid, S_ab, resid)
+            w_vec = S_ab @ d + W[a] @ d_first[b] + W[b] @ d_first[a] + Vinv @ d_ab
+            lin = resid @ w_vec
+            H[a, b] = H[b, a] = -0.5 * (
+                data.n_subjects * tr_term
+                + qd * sum_T02
+                + float(quad.sum())
+                - 2.0 * float(cache.T01 @ lin)
+            )
+    return H
+
+
+def oracle_marginal_loglik(theta, data):
+    pm = data.layout.pm
+    Vinv, logdet, d = _oracle_bundle(theta, pm)
+    A = Vinv @ d
+    c = float(d @ A)
+    resid = data.y - data.X @ theta.beta
+    quad_v = np.einsum("np,pq,nq->n", resid, Vinv, resid)
+    u = resid @ A
+    quad_sigma = quad_v - u * u / (1.0 + c)
+    eta = u / (1.0 + c)
+    zeta = np.sqrt(1.0 / (1.0 + c))
+    const = np.log(2.0) - 0.5 * pm * _LOG_2PI - 0.5 * (logdet + np.log1p(c))
+    return float(
+        data.n_subjects * const - 0.5 * quad_sigma.sum() + special.log_ndtr(eta / zeta).sum()
+    )
+
+
+def oracle_update_beta(theta, data, cache):
+    Vinv, _, d = _oracle_bundle(theta, data.layout.pm)
+    XtV = data.X.transpose(0, 2, 1) @ Vinv
+    M = np.einsum("nqp,npr->qr", XtV, data.X)
+    rhs = np.einsum("nqp,np->q", XtV, data.y - np.outer(cache.T01, d))
+    return np.linalg.solve(M, rhs)
+
+
+# ---------------------------------------------------------------------------
+# agreement
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def oracle_data():
+    truth = default_true_theta(Scenario.EFFECT_SN)
+    return simulate_subjects(default_layout(5), truth, RngStream(31, 0))
+
+
+def _points(scenario, count=6):
+    rs = np.random.default_rng(2303)
+    truth = default_true_theta(Scenario.ERROR_SN)
+    for _ in range(count):
+        yield ThetaState(
+            beta=truth.beta + rs.normal(size=truth.beta.size) * 0.3,
+            sigma_e2=float(rs.uniform(0.3, 3.0)),
+            sigma_s2=float(rs.uniform(0.3, 3.0)),
+            lam=0.0 if scenario is Scenario.NORMAL else float(rs.uniform(-3.0, 4.0)),
+            scenario=scenario,
+        )
+
+
+def _assert_close(actual, expected):
+    # relative to the largest entry, so that a component near zero is judged
+    # on the scale of the quantity it belongs to
+    expected = np.atleast_1d(np.asarray(expected, dtype=float))
+    scale = np.abs(expected).max()
+    np.testing.assert_allclose(actual, expected.reshape(np.shape(actual)), rtol=0, atol=RTOL * scale)
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.value)
+def test_q_and_derivatives_match_oracle(scenario, oracle_data):
+    data = oracle_data
+    for theta in _points(scenario):
+        cache = e_step(theta, data)
+        _assert_close(q_value(theta, data, cache), oracle_q_value(theta, data, cache))
+        _assert_close(q_gradient(theta, data, cache), oracle_q_gradient(theta, data, cache))
+        H = q_hessian(theta, data, cache)
+        for a in range(3):
+            _assert_close(H[a], oracle_q_hessian(theta, data, cache)[a])
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.value)
+def test_marginal_loglik_and_beta_update_match_oracle(scenario, oracle_data):
+    data = oracle_data
+    for theta in _points(scenario):
+        _assert_close(marginal_loglik(theta, data), oracle_marginal_loglik(theta, data))
+        cache = e_step(theta, data)
+        _assert_close(update_beta(theta, data, cache), oracle_update_beta(theta, data, cache))
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.value)
+def test_fit_matches_oracle_driven_em(scenario, oracle_data, monkeypatch):
+    """Twenty EM iterations on the kernel forms and on the oracle forms agree."""
+    data = oracle_data
+    fast = fit(data, scenario, tol=0.0, max_iter=20, compute_se=False)
+    for name, oracle in [
+        ("q_value", oracle_q_value),
+        ("q_gradient", oracle_q_gradient),
+        ("q_hessian", oracle_q_hessian),
+        ("update_beta", oracle_update_beta),
+        ("marginal_loglik", oracle_marginal_loglik),
+    ]:
+        monkeypatch.setattr(em, name, oracle)
+    slow = fit(data, scenario, tol=0.0, max_iter=20, compute_se=False)
+    assert fast.iterations == slow.iterations == 20
+    _assert_close(fast.estimates, slow.estimates)
+    np.testing.assert_allclose(fast.trajectory, slow.trajectory, rtol=RTOL, atol=0)
