@@ -43,7 +43,9 @@ from .em import (
     initialize,
     kernel,
     marginal_loglik,
+    marginal_score,
     nr_step,
+    observed_information,
     q_gradient,
     q_hessian,
     q_value,

@@ -42,8 +42,12 @@ _SCENARIOS = {
 def _result_payload(result: FitResult, scenario_name: str) -> dict:
     theta = result.theta
     estimates = dict(zip(result.param_names, map(float, result.estimates)))
+    # a NaN SE (singular information) is written as null: bare NaN is not JSON
     ses = (
-        dict(zip(result.param_names, [float(v) for v in result.se]))
+        {
+            name: float(v) if np.isfinite(v) else None
+            for name, v in zip(result.param_names, result.se)
+        }
         if result.se is not None
         else None
     )
@@ -69,7 +73,8 @@ def _result_payload(result: FitResult, scenario_name: str) -> dict:
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def cmd_fit(args) -> int:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -202,6 +203,20 @@ def covariate_w(sequence_size: int, subject: int) -> int:
 
 
 @dataclass(frozen=True)
+class DesignMoments:
+    """Cross products of the stacked design with itself and with y.
+
+    XX[a, j, b, k] = sum_i X_i[a, j] X_i[b, k] and
+    XY[a, j, b] = sum_i X_i[a, j] y_i[b].  Every sum over subjects of
+    X_i' W X_i or X_i' W y_i for a shared pm x pm weight W is a contraction
+    of these with W.
+    """
+
+    XX: np.ndarray
+    XY: np.ndarray
+
+
+@dataclass(frozen=True)
 class TrialData:
     """Per-subject responses and designs, stacked for the engine.
 
@@ -241,6 +256,20 @@ class TrialData:
     @property
     def param_names(self) -> tuple[str, ...]:
         return tuple(fixed_effect_index(self.layout))
+
+    @cached_property
+    def moments(self) -> DesignMoments:
+        """Design moments, computed on first use and kept for the object's life.
+
+        The arrays of a TrialData are never modified in place;
+        ``dataclasses.replace`` builds a new object with its own moments.
+        """
+        n, pm, q = self.X.shape
+        X2 = self.X.reshape(n, pm * q)
+        return DesignMoments(
+            XX=(X2.T @ X2).reshape(pm, q, pm, q),
+            XY=(X2.T @ self.y).reshape(pm, q, pm),
+        )
 
 
 def assemble_trial(

@@ -29,6 +29,14 @@ V^{-1}, log|V|, A = V^{-1} d and c = d'A.  With R = y - X beta stacked one
 row per subject, Q and its xi-derivatives depend on the data only through
 S = R'R (pm x pm), r = R'T01 and sum T02: each term is a pm x pm trace, and
 forming those statistics is the only part of a Q evaluation that grows with n.
+The GLS update of beta works on the design moments sum X_i' [.] X_i and
+sum X_i' [.] y_i, formed once per dataset (``TrialData.moments``), so it
+touches no per-subject array.
+
+Standard errors come from the analytic observed information of the marginal
+log-likelihood.  Like Q, it uses the data only through sufficient
+statistics: R'R, the projections of R on the skew direction alpha and its
+xi-derivatives, and the design moments.
 
 Every M-step increases the Q-function (beta update exactly, the NR step by
 step halving), so the observed-data log-likelihood trajectory is
@@ -51,6 +59,8 @@ from .skewnormal import SQRT_2_OVER_PI, delta_of_lambda, mills
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _VARIANCE_FLOOR = 1e-10
 _MAX_HALVINGS = 30
+_SINGULAR_RATIO = 1e-12
+_LOST_LOADING = 1e-6
 LAMBDA_SINGULARITY_THRESHOLD = 0.05
 
 
@@ -283,21 +293,40 @@ def e_step(theta: ThetaState, data: TrialData) -> EStepCache:
 def update_beta(theta: ThetaState, data: TrialData, cache: EStepCache) -> np.ndarray:
     """Closed-form Q maximizer over the fixed effects.
 
-    beta = (sum X' V^{-1} X)^{-1} sum X' V^{-1} (y - d T01).
+    beta = (sum X' V^{-1} X)^{-1} sum X' V^{-1} (y - d T01), where the skew
+    term sums to (sum_i T01_i X_i)' A.
     """
     k = cache.kernel
-    return _gls(data, k.Vinv, data.y - np.outer(cache.T01, k.d))
+    return _gls(data, k.Vinv, _xt_sum(data, cache.T01) @ k.A)
 
 
-def _gls(data: TrialData, Vinv: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Solve (sum X' V^{-1} X) beta = sum X' V^{-1} target over all subjects.
+def _xt_sum(data: TrialData, v: np.ndarray) -> np.ndarray:
+    """sum_i v_i X_i' (q x pm) for per-subject weights v, one vector-matrix product."""
+    n, pm, q = data.X.shape
+    return (v @ data.X.reshape(n, pm * q)).reshape(pm, q).T
 
+
+def _xtwx(data: TrialData, W: np.ndarray) -> np.ndarray:
+    """sum_i X_i' W X_i for a pm x pm weight W, from the design moments."""
+    return np.tensordot(W, data.moments.XX, axes=([0, 1], [0, 2]))
+
+
+def _xtwy(data: TrialData, W: np.ndarray) -> np.ndarray:
+    """sum_i X_i' W y_i for a pm x pm weight W, from the design moments."""
+    return np.tensordot(W, data.moments.XY, axes=([0, 1], [0, 2]))
+
+
+def _gls(data: TrialData, Vinv: np.ndarray, offset=0.0) -> np.ndarray:
+    """Solve (sum X' V^{-1} X) beta = sum X' V^{-1} y - offset over all subjects.
+
+    Both sides are contractions of V^{-1} with the design moments, so no
+    per-subject array is touched; the standard errors' beta-beta block uses
+    the same contraction with Sigma^{-1}, one more sufficient statistic.
     Raises RankDeficiencyError naming the dependent columns when the pooled
     normal equations are singular.
     """
-    XtV = np.tensordot(data.X, Vinv, axes=(1, 0))  # (n, q, pm): X_i' V^{-1}
-    M = np.tensordot(XtV, data.X, axes=([0, 2], [0, 1]))
-    rhs = np.tensordot(XtV, target, axes=([0, 2], [0, 1]))
+    M = _xtwx(data, Vinv)
+    rhs = _xtwy(data, Vinv) - offset
     try:
         L = np.linalg.cholesky(M)
         return sla.cho_solve((L, True), rhs)
@@ -515,7 +544,7 @@ def initialize(
     sigma_s2 = max(sigma_s2, 1e-6)
 
     normal = ThetaState(np.zeros(q), sigma_e2, sigma_s2, 0.0, Scenario.NORMAL)
-    beta0 = _gls(data, kernel(normal, pm).Vinv, data.y)
+    beta0 = _gls(data, kernel(normal, pm).Vinv)
     lam0 = 0.0 if (scenario is Scenario.NORMAL or freeze_lambda) else 1.0
     return ThetaState(
         beta=beta0, sigma_e2=sigma_e2, sigma_s2=sigma_s2, lam=lam0, scenario=scenario
@@ -552,76 +581,156 @@ def _free_vector(theta: ThetaState, include_lambda: bool) -> np.ndarray:
     return np.concatenate([np.atleast_1d(np.asarray(p, dtype=float)) for p in parts])
 
 
-def _theta_from_vector(vec: np.ndarray, q: int, theta: ThetaState, include_lambda: bool) -> ThetaState:
-    lam = float(vec[q + 2]) if include_lambda else theta.lam
-    return replace(
-        theta, beta=vec[:q], sigma_e2=float(vec[q]), sigma_s2=float(vec[q + 1]), lam=lam
-    )
+def _loglik_derivatives(
+    theta: ThetaState, data: TrialData, include_lambda: bool | None, second: bool
+):
+    """Analytic score and Hessian of ``marginal_loglik`` in the free parameters.
+
+    Free parameters are (beta, sigma_e2, sigma_s2[, lambda]).  Per subject
+    the log-density is log 2 - 1/2 log|Sigma| - 1/2 r'Sigma^{-1} r +
+    log Phi(w) + const, with r = y - X beta, Sigma = V + dd',
+    Sigma^{-1} = V^{-1} - AA'/(1 + c) and w = alpha'r, alpha = A/sqrt(1 + c).
+    With zeta1 = phi(w)/Phi(w) and zeta2 = -zeta1 (w + zeta1), and subscripts
+    a, b for derivatives in xi,
+
+        d/dbeta   = sum X'(Sigma^{-1} r - zeta1 alpha)
+        d/dxi_a   = -n/2 tr(Sigma^{-1} Sigma_a) - 1/2 tr((Sigma^{-1})_a R'R)
+                    + sum zeta1 alpha_a'r
+        beta beta = -sum X'Sigma^{-1}X + sum zeta2 (X'alpha)(X'alpha)'
+        beta xi_a = sum X'((Sigma^{-1})_a r - zeta2 (alpha_a'r) alpha - zeta1 alpha_a)
+        xi_a xi_b = -n/2 [tr(Sigma^{-1} Sigma_ab) - tr(Sigma^{-1} Sigma_a Sigma^{-1} Sigma_b)]
+                    - 1/2 tr((Sigma^{-1})_ab R'R)
+                    + sum zeta2 (alpha_a'r)(alpha_b'r) + sum zeta1 alpha_ab'r.
+
+    The derivatives of Sigma, A, c and alpha follow from ``_xi_derivatives``.
+    The data enter through R'R, R [alpha, alpha_a, alpha_ab], the design
+    moments and two products with the flattened design; nothing per subject
+    is formed beyond n-vectors.  Returns (score, Hessian), the Hessian None
+    unless ``second``.
+    """
+    if include_lambda is None:
+        include_lambda = theta.scenario is not Scenario.NORMAL
+    pm = data.layout.pm
+    n, q = data.n_subjects, data.layout.n_fixed
+    m = 3 if include_lambda else 2
+    k = kernel(theta, pm)
+    V1, d1, V2, d2 = _xi_derivatives(theta, pm)
+    Vinv, d, A = k.Vinv, k.d, k.A
+    s = np.sqrt(1.0 + k.c)
+    Sinv = Vinv - np.outer(A, A) / (1.0 + k.c)
+    alpha = A / s
+
+    A1 = [Vinv @ (d1[a] - V1[a] @ A) for a in range(m)]
+    c1 = [float(d1[a] @ A + d @ A1[a]) for a in range(m)]
+    alpha1 = [A1[a] / s - A * c1[a] / (2.0 * s**3) for a in range(m)]
+    P = [Sinv @ (V1[a] + np.outer(d1[a], d) + np.outer(d, d1[a])) for a in range(m)]
+    Sinv1 = [-P[a] @ Sinv for a in range(m)]
+    pairs = [(a, b) for a in range(m) for b in range(a, m)] if second else []
+    alpha2, Sig2 = [], []
+    for a, b in pairs:
+        V_ab = V2.get((a, b), np.zeros((pm, pm)))
+        d_ab = d2.get((a, b), np.zeros(pm))
+        A_ab = Vinv @ (d_ab - V_ab @ A - V1[a] @ A1[b] - V1[b] @ A1[a])
+        c_ab = float(d_ab @ A + d1[a] @ A1[b] + d1[b] @ A1[a] + d @ A_ab)
+        alpha2.append(
+            A_ab / s
+            - (A1[a] * c1[b] + A1[b] * c1[a] + A * c_ab) / (2.0 * s**3)
+            + 0.75 * A * c1[a] * c1[b] / s**5
+        )
+        D = np.outer(d_ab, d) + np.outer(d1[a], d1[b])
+        Sig2.append(V_ab + D + D.T)
+
+    R = residuals(data, theta.beta)
+    S = R.T @ R
+    proj = R @ np.column_stack([alpha] + alpha1 + alpha2)
+    w = proj[:, 0]
+    zeta1 = mills(w)
+    Z1 = _xt_sum(data, zeta1)
+
+    XSX = _xtwx(data, Sinv)
+    score = np.empty(q + m)
+    score[:q] = _xtwy(data, Sinv) - XSX @ theta.beta - Z1 @ alpha
+    for a in range(m):
+        score[q + a] = (
+            -0.5 * n * float(np.trace(P[a]))
+            - 0.5 * float(np.vdot(Sinv1[a], S))
+            + float(zeta1 @ proj[:, 1 + a])
+        )
+    if not second:
+        return score, None
+
+    zeta2 = -zeta1 * (w + zeta1)
+    G = alpha @ data.X  # row i: X_i' alpha
+    H = np.empty((q + m, q + m))
+    H[:q, :q] = -XSX + G.T @ (zeta2[:, None] * G)
+    for a in range(m):
+        H[:q, q + a] = H[q + a, :q] = (
+            _xtwy(data, Sinv1[a])
+            - _xtwx(data, Sinv1[a]) @ theta.beta
+            - G.T @ (zeta2 * proj[:, 1 + a])
+            - Z1 @ alpha1[a]
+        )
+    for j, (a, b) in enumerate(pairs):
+        Sinv_ab = (P[a] @ P[b] + P[b] @ P[a]) @ Sinv - Sinv @ Sig2[j] @ Sinv
+        tr = float(np.vdot(Sinv, Sig2[j])) - float(np.vdot(P[a], P[b].T))
+        H[q + a, q + b] = H[q + b, q + a] = (
+            -0.5 * n * tr
+            - 0.5 * float(np.vdot(Sinv_ab, S))
+            + float(zeta2 @ (proj[:, 1 + a] * proj[:, 1 + b]))
+            + float(zeta1 @ proj[:, 1 + m + j])
+        )
+    return score, H
+
+
+def marginal_score(
+    theta: ThetaState, data: TrialData, include_lambda: bool | None = None
+) -> np.ndarray:
+    """Analytic gradient of ``marginal_loglik`` in (beta, sigma_e2, sigma_s2[, lambda]).
+
+    ``include_lambda`` defaults to True for the skew scenarios.
+    """
+    return _loglik_derivatives(theta, data, include_lambda, second=False)[0]
+
+
+def observed_information(
+    theta: ThetaState, data: TrialData, include_lambda: bool | None = None
+) -> np.ndarray:
+    """Negated analytic Hessian of ``marginal_loglik`` in the free parameters."""
+    return -_loglik_derivatives(theta, data, include_lambda, second=True)[1]
 
 
 def standard_errors(
     theta: ThetaState, data: TrialData, include_lambda: bool | None = None
 ) -> np.ndarray:
-    """SEs from the numerical Hessian of the marginal log-likelihood.
+    """SEs from the analytic observed information of the marginal log-likelihood.
 
-    Central differences with per-coordinate step 1e-4 * max(1, |theta_k|)
-    (shrunk where a variance would be driven non-positive); SE_k is the
-    square root of the k-th diagonal entry of the inverse of the negated
-    Hessian.  A non-positive-definite information matrix yields NaN for the
-    affected coordinates, with a warning.
+    Like Q, the information uses the data only through sufficient
+    statistics (R'R, the projections of R on alpha and its derivatives, and
+    the design moments), so no likelihood is evaluated here.  SE_k is the
+    square root of the k-th diagonal entry of the inverse information.
+
+    Singularity is judged on D I D, where D holds each parameter's natural
+    size, so the verdict does not depend on the units of y or of a design
+    column: sqrt(sigma_e2 + sigma_s2) / rms(X column) for beta,
+    sigma_e2 + sigma_s2 for each variance and max(1, |lambda|) for lambda.
+    D I D counts as singular when its smallest eigenvalue is at most 1e-12
+    times its largest; the SEs then come from its pseudo-inverse over the
+    kept eigenvalues, mapped back through D, and a coordinate whose squared
+    loading on the discarded eigenvectors exceeds 1e-6 gets NaN, with a
+    warning.
     """
-    if include_lambda is None:
-        include_lambda = theta.scenario is not Scenario.NORMAL
-    q = data.layout.n_fixed
-    x0 = _free_vector(theta, include_lambda)
-    p = x0.size
-
-    kernels: dict[tuple[float, float, float], Kernel] = {}
-
-    def loglik_at(vec: np.ndarray) -> float:
-        th = _theta_from_vector(vec, q, theta, include_lambda)
-        key = (th.sigma_e2, th.sigma_s2, th.lam)
-        if key not in kernels:
-            kernels[key] = kernel(th, data.layout.pm)
-        return marginal_loglik(th, data, kernels[key])
-
-    h = 1e-4 * np.maximum(1.0, np.abs(x0))
-    for k in (q, q + 1):  # keep variance perturbations positive
-        if x0[k] - h[k] <= 0:
-            h[k] = x0[k] / 2.0
-
-    f0 = loglik_at(x0)
-    H = np.zeros((p, p))
-    for k in range(p):
-        ek = np.zeros(p)
-        ek[k] = h[k]
-        H[k, k] = (loglik_at(x0 + ek) - 2.0 * f0 + loglik_at(x0 - ek)) / h[k] ** 2
-    for k in range(p):
-        for l in range(k + 1, p):
-            ek = np.zeros(p)
-            el = np.zeros(p)
-            ek[k] = h[k]
-            el[l] = h[l]
-            H[k, l] = (
-                loglik_at(x0 + ek + el)
-                - loglik_at(x0 + ek - el)
-                - loglik_at(x0 - ek + el)
-                + loglik_at(x0 - ek - el)
-            ) / (4.0 * h[k] * h[l])
-            H[l, k] = H[k, l]
-
-    info = -H
-    try:
-        L = np.linalg.cholesky(info)
-        cov = sla.cho_solve((L, True), np.eye(p))
-        return np.sqrt(np.diag(cov))
-    except np.linalg.LinAlgError:
+    info = observed_information(theta, data, include_lambda)
+    total = theta.sigma_e2 + theta.sigma_s2
+    x_rms = np.sqrt(np.einsum("ajaj->j", data.moments.XX) / data.n_obs)
+    D = np.concatenate([np.sqrt(total) / x_rms, [total, total, max(1.0, abs(theta.lam))]])
+    D = D[: info.shape[0]]
+    eig, U = np.linalg.eigh(D[:, None] * info * D)
+    keep = eig > _SINGULAR_RATIO * max(eig[-1], 0.0)
+    var = D**2 * (U[:, keep] ** 2 / eig[keep]).sum(axis=1)
+    if not keep.all():
         warnings.warn("information matrix not positive definite; some SEs set to NaN")
-        cov = np.linalg.pinv(info)
-        diag = np.diag(cov).copy()
-        bad = ~np.isfinite(diag) | (diag <= 0)
-        diag[bad] = np.nan
-        return np.sqrt(diag)
+        var[(U[:, ~keep] ** 2).sum(axis=1) > _LOST_LOADING] = np.nan
+    return np.sqrt(var)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ required columns
     sequence, subject, period, treatment, response_index, value
 
 (1-based integer labels, float values); any additional columns are treated
-as subject-level covariates.  Each subject must contribute exactly one
+as subject-level covariates.  Values and covariates must be finite and
+below 1e150 in magnitude.  Each subject must contribute exactly one
 record per (period, response_index) cell; subjects with missing cells are
 excluded with a warning, duplicated cells and inconsistent treatment
 assignments are errors.  The trial layout (sequences, periods, treatments,
@@ -23,6 +24,8 @@ import numpy as np
 from .design import CrossoverLayout, TrialData, assemble_trial
 
 REQUIRED_COLUMNS = ("sequence", "subject", "period", "treatment", "response_index", "value")
+# Largest magnitude accepted for a value or covariate: its square must not overflow.
+_MAX_ABS_VALUE = 1e150
 
 
 class DataFormatError(ValueError):
@@ -41,9 +44,15 @@ def _parse_int(text: str, column: str, line: int) -> int:
 
 def _parse_float(text: str, column: str, line: int) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise DataFormatError(f"line {line}: non-numeric {column} {text!r}") from None
+    if not abs(value) < _MAX_ABS_VALUE:  # also false for nan
+        raise DataFormatError(
+            f"line {line}: {column} {text!r} is not a finite number "
+            f"below {_MAX_ABS_VALUE:g} in magnitude"
+        )
+    return value
 
 
 def read_long_csv(path) -> TrialData:

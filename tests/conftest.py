@@ -21,7 +21,7 @@ from sncross import (
     default_true_theta,
     simulate_subjects,
 )
-from sncross.simulate import default_layout
+from sncross.simulate import SimConfig, default_layout, generate_dataset
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +106,12 @@ def medium_error_sn_data():
     """Full-size (90-subject) skew-error dataset for fitting tests."""
     layout = default_layout(30)
     return simulate_subjects(layout, default_true_theta(Scenario.ERROR_SN), RngStream(11, 0))
+
+
+@pytest.fixture(scope="session")
+def boundary_error_sn_data():
+    """Desk replicate 1 (seed 20260808) whose error-sn fit runs lambda to about 4e58."""
+    return generate_dataset(SimConfig(Scenario.ERROR_SN, seed=20260808), 1)
 
 
 @pytest.fixture

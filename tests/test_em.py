@@ -34,6 +34,7 @@ from sncross import (
     standard_errors,
     update_beta,
 )
+from sncross.design import DesignMoments
 from sncross.em import _xi_derivatives
 from sncross.simulate import default_layout
 
@@ -213,11 +214,17 @@ def test_update_beta_ols_case():
 
 def test_update_beta_hand_computation():
     # One subject, a single intercept column, V = I, d*T01 = (0.5, 0.5, 0.5):
-    # beta = mean(y - 0.5) = 1.5.
+    # beta = mean(y - 0.5) = 1.5.  With X all ones, the design moments are
+    # XX[a, 0, b, 0] = 1 and XY[a, 0, b] = y[b].
+    y = np.array([[1.0, 2.0, 3.0]])
     stub = SimpleNamespace(
         X=np.ones((1, 3, 1)),
-        y=np.array([[1.0, 2.0, 3.0]]),
+        y=y,
         param_names=("intercept",),
+        moments=DesignMoments(
+            XX=np.ones((3, 1, 3, 1)),
+            XY=np.broadcast_to(y, (3, 3)).reshape(3, 1, 3),
+        ),
     )
     theta = ThetaState(np.zeros(1), 1.0, 1.0, 0.0, Scenario.NORMAL)
     cache = e_step_stub_cache()

@@ -160,6 +160,32 @@ def test_non_numeric_value_is_error(tmp_path, small_csv):
         read_long_csv(f)
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e308", "-1e150"])
+@pytest.mark.parametrize("column", [5, 6], ids=["value", "covariate"])
+def test_cmd_fit_rejects_non_finite_or_huge_number(tmp_path, capsys, small_csv, column, token):
+    path, _ = small_csv
+    lines = path.read_text().strip().splitlines()
+    parts = lines[3].split(",")
+    parts[column] = token
+    lines[3] = ",".join(parts)
+    f = tmp_path / "bad.csv"
+    f.write_text("\n".join(lines) + "\n")
+    code = main(["fit", "--data", str(f), "--scenario", "all", "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "line 4" in capsys.readouterr().err
+
+
+def test_large_finite_value_is_accepted(tmp_path, small_csv):
+    path, _ = small_csv
+    lines = path.read_text().strip().splitlines()
+    parts = lines[3].split(",")
+    parts[5] = "9.9e149"
+    lines[3] = ",".join(parts)
+    f = tmp_path / "big.csv"
+    f.write_text("\n".join(lines) + "\n")
+    assert read_long_csv(f).y.max() == 9.9e149
+
+
 def test_covariate_varying_within_subject_is_error(tmp_path, small_csv):
     path, _ = small_csv
     lines = path.read_text().strip().splitlines()
@@ -327,6 +353,29 @@ def test_cmd_diagnose_after_fit(tmp_path, small_csv):
     plots = (out / "gof_plots.csv").read_text().strip().splitlines()
     healy_rows = [ln for ln in plots if ln.startswith("healy,")]
     assert len(healy_rows) == data.n_subjects
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_singular_information_writes_null_se_and_diagnose_reads_it(
+    tmp_path, boundary_error_sn_data
+):
+    path = tmp_path / "boundary.csv"
+    write_long_csv(path, boundary_error_sn_data)
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="not positive definite"):
+        code = main(["fit", "--data", str(path), "--scenario", "error-sn", "--out-dir", str(out)])
+    assert code == 3  # lambda runs off to the boundary: no fit converged
+    text = (out / "fit_error_sn.json").read_text()
+    payload = json.loads(text, parse_constant=_reject_constant)
+    assert payload["se"]["lambda"] is None
+    assert all(v is not None for name, v in payload["se"].items() if name != "lambda")
+    code = main(["diagnose", "--fit", str(out / "fit_error_sn.json"),
+                 "--data", str(path), "--out-dir", str(out)])
+    assert code == 0
+    json.loads((out / "gof.json").read_text(), parse_constant=_reject_constant)
 
 
 def test_cmd_diagnose_dimension_mismatch_exit_2(tmp_path, small_csv):

@@ -1,11 +1,15 @@
 """The covariance-kernel forms of Q, its derivatives, the marginal
-log-likelihood and the beta update against per-subject reference formulas.
+log-likelihood and the beta update against per-subject reference formulas,
+and the analytic standard errors against the numerical Hessian.
 
 The oracle functions below evaluate every quantity subject by subject with
 ``einsum``, straight from the model's definition, and factor V on their
 own.  The engine instead sums the data into S = R'R, r = R'T01 and sum T02
-first.  Both must agree to 1e-10 relative; only the summation order
-differs.
+(and the design into its moments) first.  Both must agree to 1e-10
+relative; only the summation order differs.  The oracle standard errors
+take central differences of the oracle log-likelihood over all free
+parameters (289 evaluations for 12 of them); they carry the rounding error
+of a second difference, so they are compared at 1e-4 relative.
 """
 
 import numpy as np
@@ -26,6 +30,7 @@ from sncross import (
     q_hessian,
     q_value,
     simulate_subjects,
+    standard_errors,
     update_beta,
 )
 from sncross import em
@@ -147,6 +152,41 @@ def oracle_update_beta(theta, data, cache):
     return np.linalg.solve(M, rhs)
 
 
+def oracle_standard_errors(theta, data, include_lambda):
+    """SEs from central differences of the log-likelihood, step 1e-4 * max(1, |x|)."""
+    q = data.layout.n_fixed
+
+    def loglik_at(vec):
+        lam = float(vec[q + 2]) if include_lambda else theta.lam
+        th = ThetaState(vec[:q], float(vec[q]), float(vec[q + 1]), lam, theta.scenario)
+        return oracle_marginal_loglik(th, data)
+
+    x0 = np.concatenate(
+        [theta.beta, [theta.sigma_e2, theta.sigma_s2], [theta.lam] if include_lambda else []]
+    )
+    p = x0.size
+    h = 1e-4 * np.maximum(1.0, np.abs(x0))
+    for k in (q, q + 1):  # keep variance perturbations positive
+        if x0[k] - h[k] <= 0:
+            h[k] = x0[k] / 2.0
+    f0 = loglik_at(x0)
+    H = np.zeros((p, p))
+    for k in range(p):
+        ek = np.zeros(p)
+        ek[k] = h[k]
+        H[k, k] = (loglik_at(x0 + ek) - 2.0 * f0 + loglik_at(x0 - ek)) / h[k] ** 2
+        for l in range(k):
+            el = np.zeros(p)
+            el[l] = h[l]
+            H[k, l] = H[l, k] = (
+                loglik_at(x0 + ek + el)
+                - loglik_at(x0 + ek - el)
+                - loglik_at(x0 - ek + el)
+                + loglik_at(x0 - ek - el)
+            ) / (4.0 * h[k] * h[l])
+    return np.sqrt(np.diag(np.linalg.inv(-H)))
+
+
 # ---------------------------------------------------------------------------
 # agreement
 # ---------------------------------------------------------------------------
@@ -217,3 +257,17 @@ def test_fit_matches_oracle_driven_em(scenario, oracle_data, monkeypatch):
     assert fast.iterations == slow.iterations == 20
     _assert_close(fast.estimates, slow.estimates)
     np.testing.assert_allclose(fast.trajectory, slow.trajectory, rtol=RTOL, atol=0)
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.value)
+def test_standard_errors_match_numerical_hessian_oracle(scenario):
+    truth = Scenario.EFFECT_SN if scenario is Scenario.EFFECT_SN else Scenario.ERROR_SN
+    data = simulate_subjects(default_layout(30), default_true_theta(truth), RngStream(3, 0))
+    theta = fit(data, scenario, compute_se=False).theta
+    include_lambda = scenario is not Scenario.NORMAL
+    np.testing.assert_allclose(
+        standard_errors(theta, data),
+        oracle_standard_errors(theta, data, include_lambda),
+        rtol=1e-4,
+        atol=0,
+    )
