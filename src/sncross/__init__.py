@@ -29,6 +29,7 @@ from .diagnostics import (
     standardized_residuals,
 )
 from .em import (
+    DegenerateResponseError,
     EStepCache,
     FitResult,
     Kernel,

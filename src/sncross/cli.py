@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from .design import TrialData, fixed_effect_index
 from .diagnostics import gof_report, marginal_loglik, plot_data_rows, write_plot_csv
-from .em import FitResult, RankDeficiencyError, Scenario, ThetaState, fit
+from .em import DegenerateResponseError, FitResult, RankDeficiencyError, Scenario, ThetaState, fit
 from .io import DataFormatError, read_long_csv
 from .simulate import (
     SimConfig,
@@ -92,7 +92,7 @@ def cmd_fit(args) -> int:
             results[name] = fit(
                 data, _SCENARIOS[name], tol=args.tol, max_iter=args.max_iter
             )
-        except RankDeficiencyError as exc:
+        except (RankDeficiencyError, DegenerateResponseError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT
     for name, result in results.items():

@@ -134,6 +134,16 @@ def fixed_effect_index(layout: CrossoverLayout) -> dict[str, int]:
     return {name: j for j, name in enumerate(names)}
 
 
+def _check_subject(layout: CrossoverLayout, sequence: int, subject: int) -> None:
+    if not 1 <= sequence <= layout.n_sequences:
+        raise IndexError(f"sequence {sequence} outside 1..{layout.n_sequences}")
+    if not 1 <= subject <= layout.n_per_seq[sequence - 1]:
+        raise IndexError(
+            f"subject {subject} outside 1..{layout.n_per_seq[sequence - 1]} "
+            f"for sequence {sequence}"
+        )
+
+
 def build_design(
     layout: CrossoverLayout,
     sequence: int,
@@ -146,13 +156,7 @@ def build_design(
     Raises KeyError for an undeclared or missing covariate, IndexError for
     a sequence or subject out of range.
     """
-    if not 1 <= sequence <= layout.n_sequences:
-        raise IndexError(f"sequence {sequence} outside 1..{layout.n_sequences}")
-    if not 1 <= subject <= layout.n_per_seq[sequence - 1]:
-        raise IndexError(
-            f"subject {subject} outside 1..{layout.n_per_seq[sequence - 1]} "
-            f"for sequence {sequence}"
-        )
+    _check_subject(layout, sequence, subject)
     covariate_values = covariate_values or {}
     for name in covariate_values:
         if name not in layout.covariates:
@@ -272,6 +276,31 @@ class TrialData:
         )
 
 
+def per_pattern(
+    keys: list[tuple[int, int]],
+    covariates_by_subject: dict[tuple[int, int], dict[str, float]],
+    build,
+) -> np.ndarray:
+    """``build(sequence, subject, covariate_values)`` once per design pattern, one row per key.
+
+    A subject's design depends only on its sequence and its covariate
+    values, so ``build`` runs for the first subject of each distinct
+    (sequence, covariate values) pattern and the other subjects share its
+    result.
+    """
+    first: dict[tuple, int] = {}
+    results, index = [], []
+    for i, j in keys:
+        cvals = covariates_by_subject.get((i, j), {})
+        # values by repr: equal reprs are equal floats, and -0.0 stays apart from 0.0
+        pattern = (i, tuple(cvals), tuple(map(repr, cvals.values())))
+        if pattern not in first:
+            first[pattern] = len(results)
+            results.append(build(i, j, cvals))
+        index.append(first[pattern])
+    return np.array(results)[index]
+
+
 def assemble_trial(
     layout: CrossoverLayout,
     y_by_subject: dict[tuple[int, int], np.ndarray],
@@ -281,26 +310,32 @@ def assemble_trial(
 
     Keys of ``y_by_subject`` are (sequence, subject) pairs; every vector
     must have length pm.  Subjects are ordered by sequence, then subject.
+    ``build_design`` runs once per (sequence, covariate values) pattern.
     """
-    covariates_by_subject = covariates_by_subject or {}
     keys = sorted(y_by_subject)
-    ys, Xs, seqs, subs, covs = [], [], [], [], []
-    for i, j in keys:
-        vec = np.asarray(y_by_subject[(i, j)], dtype=float)
+    if not keys:
+        raise ValueError("no subjects to assemble")
+    y = [np.asarray(y_by_subject[key], dtype=float) for key in keys]
+    for (i, j), vec in zip(keys, y):
         if vec.shape != (layout.pm,):
             raise ValueError(f"subject ({i},{j}) vector has length {vec.size}, need {layout.pm}")
-        cvals = covariates_by_subject.get((i, j), {})
-        pair = build_design(layout, i, j, cvals)
-        ys.append(vec)
-        Xs.append(pair.X)
-        seqs.append(i)
-        subs.append(j)
-        covs.append([float(cvals[name]) for name in layout.covariates])
+    # build_design checks only the first subject of each pattern; check them all
+    seq, sub = np.array(keys, dtype=int).T.copy()
+    known = (seq >= 1) & (seq <= layout.n_sequences)
+    n_in_seq = np.array((0,) + layout.n_per_seq)[np.where(known, seq, 0)]
+    bad = np.flatnonzero((sub < 1) | (sub > n_in_seq))
+    if bad.size:
+        _check_subject(layout, *keys[bad[0]])
+    X = per_pattern(
+        keys, covariates_by_subject or {},
+        lambda i, j, cvals: build_design(layout, i, j, cvals).X,
+    )
     return TrialData(
         layout=layout,
-        y=np.array(ys),
-        X=np.array(Xs),
-        sequences=np.array(seqs, dtype=int),
-        subjects=np.array(subs, dtype=int),
-        covariate_values=np.array(covs) if layout.covariates else np.zeros((len(keys), 0)),
+        y=np.array(y),
+        X=X,
+        sequences=seq,
+        subjects=sub,
+        # the trailing columns of X repeat each subject's covariate values
+        covariate_values=X[:, 0, layout.n_fixed - len(layout.covariates):].copy(),
     )

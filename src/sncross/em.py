@@ -61,6 +61,7 @@ _VARIANCE_FLOOR = 1e-10
 _MAX_HALVINGS = 30
 _SINGULAR_RATIO = 1e-12
 _LOST_LOADING = 1e-6
+_DEGENERATE_RATIO = 1e-20  # residual over total mean square at which y counts as fitted exactly
 LAMBDA_SINGULARITY_THRESHOLD = 0.05
 
 
@@ -144,7 +145,6 @@ class FitResult:
     n_free: int
     n_obs: int
     lambda_warning: bool = False
-    nr_stalls: int = 0
 
     @property
     def estimates(self) -> np.ndarray:
@@ -154,6 +154,10 @@ class FitResult:
 
 class RankDeficiencyError(np.linalg.LinAlgError):
     """Normal equations for the fixed effects are singular."""
+
+
+class DegenerateResponseError(ValueError):
+    """The design fits the response exactly, so the likelihood is unbounded."""
 
 
 # ---------------------------------------------------------------------------
@@ -522,10 +526,20 @@ def initialize(
     of OLS residuals (the one-way ANOVA estimators), floored at 1e-6.
     lambda starts at 1 for skew scenarios (away from the lambda = 0
     information singularity) and at 0 for the baseline or when frozen.
+
+    Raises DegenerateResponseError when the OLS residual mean square is at
+    most 1e-20 times the mean of y^2 (a constant response, or one the design
+    fits exactly): there the likelihood grows without bound as the error
+    variance shrinks.  The rule is free of the units of y.
     """
     n, pm, q = data.n_subjects, data.layout.pm, data.layout.n_fixed
     beta_ols, *_ = np.linalg.lstsq(data.X.reshape(-1, q), data.y.ravel(), rcond=None)
     resid = residuals(data, beta_ols)
+    if float(np.mean(resid**2)) <= _DEGENERATE_RATIO * float(np.mean(data.y**2)):
+        raise DegenerateResponseError(
+            "the fixed effects fit the response exactly (no residual variation); "
+            "the likelihood is unbounded"
+        )
     if pm > 1:
         subj_mean = resid.mean(axis=1)
         msw = float(((resid - subj_mean[:, None]) ** 2).sum()) / (n * (pm - 1))
@@ -761,13 +775,11 @@ def fit(
     trajectory = [marginal_loglik(theta, data)]
     converged = False
     iterations = 0
-    stalls = 0
     for it in range(1, max_iter + 1):
         cache = e_step(theta, data)
         beta_new = update_beta(theta, data, cache)
         theta_b = replace(theta, beta=beta_new)
-        xi_new, stalled = nr_step(theta_b, data, cache, active)
-        stalls += int(stalled)
+        xi_new, _ = nr_step(theta_b, data, cache, active)
         theta_new = theta_b.with_xi(xi_new)
         trajectory.append(marginal_loglik(theta_new, data))
         delta = max(
@@ -809,5 +821,4 @@ def fit(
         n_free=k,
         n_obs=n_obs,
         lambda_warning=lambda_warning,
-        nr_stalls=stalls,
     )

@@ -35,6 +35,7 @@ from .design import (
     build_design,
     covariate_w,
     fixed_effect_index,
+    per_pattern,
 )
 from .em import FitResult, Scenario, ThetaState, fit
 from .skewnormal import RngStream, SnRestrictedMultivariate, SnUnivariate, sn_sample, sn_sample_vector
@@ -129,43 +130,58 @@ class ReplicateFits:
     normal: FitResult
 
 
+class _Columns:
+    """``RngStream.normal`` over one (n, k) block of draws, one row per subject.
+
+    ``normal(n)`` hands out the next column and ``normal((n, w))`` the next w.
+    """
+
+    def __init__(self, draws: np.ndarray):
+        self.draws, self.used = draws, 0
+
+    def normal(self, shape):
+        width = 1 if np.ndim(shape) == 0 else shape[1]
+        self.used += width
+        block = self.draws[:, self.used - width : self.used]
+        return block if np.ndim(shape) else block[:, 0]
+
+
 def simulate_subjects(
     layout: CrossoverLayout, theta: ThetaState, rng: RngStream
 ) -> TrialData:
     """Draw one dataset from the model at ``theta`` over the given layout.
 
-    Per subject (sequences in order, subjects in order) the random effect is
-    drawn first, then the error vector.  The covariate ``w``, when declared,
-    follows the subject-block rule for the sequence size.
+    Subjects run over sequences, then subjects, in order.  The dataset is one
+    ``rng.normal((n, k))`` draw whose row r holds subject r's draws: the
+    random effect's (error-sn and normal: b; effect-sn: its two), then the
+    error vector's (error-sn: the block, then its folded draw).  One Philox
+    draw equals the series of smaller draws, so the data are those of
+    drawing subject by subject.  The covariate ``w``, when declared, follows
+    the subject-block rule for the sequence size; any other covariate is 0.
+    Designs and X beta are computed once per design pattern.
     """
-    pm = layout.pm
-    y_by_subject: dict[tuple[int, int], np.ndarray] = {}
-    cov_by_subject: dict[tuple[int, int], dict[str, float]] = {}
-    for i in range(1, layout.n_sequences + 1):
-        n_i = layout.n_per_seq[i - 1]
-        for j in range(1, n_i + 1):
-            cvals = {}
-            if "w" in layout.covariates:
-                cvals["w"] = float(covariate_w(n_i, j))
-            for name in layout.covariates:
-                if name not in cvals:
-                    cvals[name] = 0.0
-            X = build_design(layout, i, j, cvals).X
-            mean = X @ theta.beta
-            if theta.scenario is Scenario.ERROR_SN:
-                b = np.sqrt(theta.sigma_s2) * rng.normal()
-                e = sn_sample_vector(
-                    SnRestrictedMultivariate(np.zeros(pm), theta.sigma_e2, theta.lam), rng
-                )
-            elif theta.scenario is Scenario.EFFECT_SN:
-                b = sn_sample(SnUnivariate(0.0, theta.sigma_s2, theta.lam), rng)
-                e = np.sqrt(theta.sigma_e2) * rng.normal(pm)
-            else:
-                b = np.sqrt(theta.sigma_s2) * rng.normal()
-                e = np.sqrt(theta.sigma_e2) * rng.normal(pm)
-            y_by_subject[(i, j)] = mean + b + e
-            cov_by_subject[(i, j)] = cvals
-    return assemble_trial(layout, y_by_subject, cov_by_subject)
+    pm, n = layout.pm, layout.n_subjects
+    keys = [(i, j) for i, n_i in enumerate(layout.n_per_seq, 1) for j in range(1, n_i + 1)]
+    covs = {
+        (i, j): {c: float(covariate_w(layout.n_per_seq[i - 1], j)) if c == "w" else 0.0
+                 for c in layout.covariates}
+        for i, j in keys
+    }
+    mean = per_pattern(
+        keys, covs, lambda i, j, c: build_design(layout, i, j, c).X @ theta.beta
+    )
+    k = pm + 1 if theta.scenario is Scenario.NORMAL else pm + 2  # draws per subject
+    draws = _Columns(rng.normal((n, k)))
+    if theta.scenario is Scenario.EFFECT_SN:
+        b = sn_sample(SnUnivariate(0.0, theta.sigma_s2, theta.lam), draws, size=n)
+    else:
+        b = np.sqrt(theta.sigma_s2) * draws.normal(n)
+    if theta.scenario is Scenario.ERROR_SN:
+        sn_errors = SnRestrictedMultivariate(np.zeros(pm), theta.sigma_e2, theta.lam)
+        e = sn_sample_vector(sn_errors, draws, size=n)
+    else:
+        e = np.sqrt(theta.sigma_e2) * draws.normal((n, pm))
+    return assemble_trial(layout, dict(zip(keys, mean + b[:, None] + e)), covs)
 
 
 def generate_dataset(config: SimConfig, replicate_index: int) -> TrialData:
@@ -226,10 +242,10 @@ def run_replicates(config: SimConfig, workers: int = 1) -> list[ReplicateFits]:
     is identical to a sequential run because every replicate draws from its
     own (seed, index) sub-stream.
     """
-    indices = list(range(config.replicates))
+    indices = range(config.replicates)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_replicate_worker, [(config, r) for r in indices]))
+            return list(pool.map(run_replicate, [config] * len(indices), indices))
     return [run_replicate(config, r) for r in indices]
 
 
@@ -241,11 +257,6 @@ def run_monte_carlo(config: SimConfig, workers: int = 1) -> McSummary:
     ``workers``; parallel runs reduce in replicate order.
     """
     return aggregate(config, run_replicates(config, workers))
-
-
-def _replicate_worker(args) -> ReplicateFits:
-    config, r = args
-    return run_replicate(config, r)
 
 
 def aggregate(config: SimConfig, results: list[ReplicateFits]) -> McSummary:
@@ -292,30 +303,15 @@ def summary_rows(summary: McSummary) -> list[list[str]]:
         "normal_estimate", "normal_se", "normal_abs_bias", "normal_sd_estimate",
     ]
     rows = [header]
-    sn_idx = {n: i for i, n in enumerate(summary.sn.names)}
-    n_idx = {n: i for i, n in enumerate(summary.normal.names)}
     for name in all_names:
         row = [name, repr(float(truth_all[name]))]
-        if name in sn_idx:
-            i = sn_idx[name]
-            row += [
-                repr(float(summary.sn.mean_estimate[i])),
-                repr(float(summary.sn.mean_se[i])),
-                repr(float(summary.sn.mean_abs_bias[i])),
-                repr(float(summary.sn.sd_estimate[i])),
-            ]
-        else:
-            row += ["", "", "", ""]
-        if name in n_idx:
-            i = n_idx[name]
-            row += [
-                repr(float(summary.normal.mean_estimate[i])),
-                repr(float(summary.normal.mean_se[i])),
-                repr(float(summary.normal.mean_abs_bias[i])),
-                repr(float(summary.normal.sd_estimate[i])),
-            ]
-        else:
-            row += ["", "", "", ""]
+        for model in (summary.sn, summary.normal):
+            if name in model.names:
+                i = model.names.index(name)
+                stats = (model.mean_estimate, model.mean_se, model.mean_abs_bias, model.sd_estimate)
+                row += [repr(float(v[i])) for v in stats]
+            else:
+                row += [""] * 4
         rows.append(row)
     return rows
 

@@ -10,6 +10,7 @@ from scipy import integrate
 from conftest import truncated_moments_quadrature
 from sncross import (
     CrossoverLayout,
+    DegenerateResponseError,
     EStepCache,
     Kernel,
     RankDeficiencyError,
@@ -439,12 +440,34 @@ def test_initialize_no_subject_effect_floors_and_fit_converges():
 
 
 def test_initialize_degenerate_constant_response_warns():
+    # near-constant: residual variance 1e-10, under the 1e-6 floor but not exact
     layout = CrossoverLayout((3,), ((1,),), 1, 2)
-    vals = {(1, j): np.array([2.0, 2.0]) for j in (1, 2, 3)}
+    wiggle = {1: 1e-5, 2: -1e-5, 3: 0.0}
+    vals = {(1, j): np.array([2.0 + wiggle[j], 2.0 - wiggle[j]]) for j in (1, 2, 3)}
     data = assemble_trial(layout, vals)
     with pytest.warns(UserWarning, match="degenerate"):
         theta = initialize(data, Scenario.NORMAL)
     assert theta.sigma_e2 >= 1e-6
+
+
+def test_initialize_refuses_response_fitted_exactly():
+    layout = CrossoverLayout((3,), ((1,),), 1, 2)
+    constant = assemble_trial(layout, {(1, j): np.array([2.0, 2.0]) for j in (1, 2, 3)})
+    # y = X beta exactly: every subject [1, 3] (intercept 1, gene_2 effect 2)
+    exact = assemble_trial(layout, {(1, j): np.array([1.0, 3.0]) for j in (1, 2, 3)})
+    for data in (constant, exact, replace(constant, y=np.zeros_like(constant.y))):
+        with pytest.raises(DegenerateResponseError, match="exactly"):
+            initialize(data, Scenario.NORMAL)
+        with pytest.raises(DegenerateResponseError):
+            fit(data, Scenario.ERROR_SN)
+
+
+def test_initialize_accepts_rescaled_response(medium_error_sn_data):
+    # the rule compares residual and total mean squares, so units do not matter
+    for a in (1e-4, 1e4):
+        scaled = replace(medium_error_sn_data, y=a * medium_error_sn_data.y)
+        theta = initialize(scaled, Scenario.ERROR_SN)
+        assert np.all(np.isfinite(theta.beta))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for CSV ingestion and the command-line interface."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -265,6 +266,29 @@ def test_cmd_fit_bad_data_exit_2(tmp_path):
     f = tmp_path / "empty.csv"
     f.write_text("")
     assert main(["fit", "--data", str(f), "--out-dir", str(tmp_path)]) == 2
+
+
+def test_cmd_fit_constant_response_exit_2(tmp_path, small_csv, capsys):
+    # every value 1.0: the likelihood is unbounded, so no model may win by AIC
+    path, data = small_csv
+    constant = tmp_path / "constant.csv"
+    write_long_csv(constant, replace(data, y=np.ones_like(data.y)))
+    out = tmp_path / "out"
+    code = main(["fit", "--data", str(constant), "--scenario", "all", "--out-dir", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "best by AIC" not in captured.out
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert not list(out.glob("fit_*.json"))
+
+
+def test_cmd_fit_rescaled_response_is_fitted(tmp_path, small_csv):
+    path, data = small_csv
+    scaled = tmp_path / "scaled.csv"
+    write_long_csv(scaled, replace(data, y=data.y * 1e-4))
+    out = tmp_path / "out"
+    assert main(["fit", "--data", str(scaled), "--scenario", "error-sn", "--out-dir", str(out)]) == 0
+    assert (out / "fit_error_sn.json").exists()
 
 
 @pytest.mark.parametrize(

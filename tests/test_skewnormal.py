@@ -175,6 +175,17 @@ def test_rng_stream_determinism():
     np.testing.assert_array_equal(RngStream(123, 0).spawn(4).normal(10), a)
 
 
+def test_rng_stream_one_draw_equals_series_of_draws():
+    # simulate_subjects takes a whole dataset in one draw and relies on this
+    sizes = [None, 12, None, None, 12, (3, 4), None, 1, 8]  # 49 draws
+    for seed, stream in ((0, 0), (20260808, 3), (2**63, 17)):
+        rng = RngStream(seed, stream)
+        series = np.concatenate([np.ravel(rng.normal(size)) for size in sizes])
+        one = RngStream(seed, stream).normal((len(series) // 7, 7)).ravel()
+        np.testing.assert_array_equal(series, one)
+        assert rng.normal() == RngStream(seed, stream).normal(len(series) + 1)[-1]
+
+
 def test_sample_zero_shape_matches_plain_normal_stream():
     draws = sn_sample(SnUnivariate(1.5, 4.0, 0.0), RngStream(42, 0), size=100)
     plain = 1.5 + 2.0 * RngStream(42, 0).normal(100)
