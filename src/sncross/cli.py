@@ -51,7 +51,6 @@ def _result_payload(result: FitResult, scenario_name: str) -> dict:
         if result.se is not None
         else None
     )
-    delta = delta_of_lambda(theta.lam) if scenario_name != "normal" else 0.0
     payload = {
         "scenario": scenario_name,
         "converged": bool(result.converged),
@@ -65,7 +64,7 @@ def _result_payload(result: FitResult, scenario_name: str) -> dict:
         "se": ses,
         "intercept_raw": float(theta.beta[0]),
         "intercept_corrected": float(result.corrected_intercept),
-        "delta": float(delta),
+        "delta": float(delta_of_lambda(theta.lam)),
         "mean_offset": float(result.corrected_intercept - theta.beta[0]),
         "lambda_singularity_warning": bool(result.lambda_warning),
     }

@@ -3,8 +3,8 @@
 Mahalanobis distances of fitted subjects against their chi-square reference,
 Healy-type plot coordinates, a one-sample Kolmogorov-Smirnov test,
 standardized residuals, and AIC/BIC.  The observed-data log-likelihood and
-AIC/BIC live in the engine (re-exported here) because the EM loop and the
-standard errors consume them directly.
+AIC/BIC live in the engine (re-exported here) because every fit reports
+them; the E-step returns the log-likelihood that makes the EM trajectory.
 
 Plot data is emitted as rows of a ``kind,index,x,y`` CSV; rendering is left
 to external tooling.

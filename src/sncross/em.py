@@ -27,8 +27,10 @@ first-coordinate projector):
 Every subject shares V and d, so one ``Kernel`` per theta holds them with
 V^{-1}, log|V|, A = V^{-1} d and c = d'A.  With R = y - X beta stacked one
 row per subject, Q and its xi-derivatives depend on the data only through
-S = R'R (pm x pm), r = R'T01 and sum T02: each term is a pm x pm trace, and
-forming those statistics is the only part of a Q evaluation that grows with n.
+S = R'R (pm x pm), r = R'T01 and sum T02.  One routine, ``_q_terms``, gives Q
+and its gradient and Hessian from them; the NR step forms them once for all
+its line-search trials.  The E-step also returns the marginal log-likelihood
+at its theta from the same R, so an EM iteration forms R twice.
 The GLS update of beta works on the design moments sum X_i' [.] X_i and
 sum X_i' [.] y_i, formed once per dataset (``TrialData.moments``), so it
 touches no per-subject array.
@@ -115,10 +117,11 @@ class Kernel:
 
 @dataclass
 class EStepCache:
-    """Covariance kernel and conditional moments from one E-step.
+    """Covariance kernel, conditional moments and log-likelihood from one E-step.
 
     eta, T01 and T02 are per-subject vectors; T01/T02 stay frozen while the
-    M-step moves the parameters.
+    M-step moves the parameters.  loglik is the marginal log-likelihood at
+    the E-step's theta.
     """
 
     kernel: Kernel
@@ -126,6 +129,7 @@ class EStepCache:
     eta: np.ndarray
     T01: np.ndarray
     T02: np.ndarray
+    loglik: float
 
 
 @dataclass
@@ -165,28 +169,72 @@ class DegenerateResponseError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def assemble(theta: ThetaState, pm: int):
+def assemble(theta: ThetaState, pm: int, derivatives: bool = False):
     """Conditional covariance V and skew loading d for one subject of pm observations.
 
     Returns (V, d) with V symmetric positive definite for admissible
     parameters.  Positive definiteness is not checked here; ``kernel``
     raises LinAlgError on parameter escapes, which the NR safeguards catch.
+    With ``derivatives`` it returns (V, d, V_first, d_first, V_second,
+    d_second), the derivatives in xi = (se2, ss2, lambda): the firsts are
+    length-3 lists, the seconds dicts keyed by upper-triangle index pairs,
+    where an absent key means a zero derivative.
     """
-    delta = delta_of_lambda(theta.lam)
+    lam = theta.lam
+    delta = delta_of_lambda(lam)
+    if derivatives:
+        one_p = 1.0 + lam * lam
+        ddelta = one_p**-1.5
+        d2delta = -3.0 * lam * one_p**-2.5
     J = np.ones((pm, pm))
+    eye = np.eye(pm)
     if theta.scenario is Scenario.ERROR_SN:
-        R = np.eye(pm)
-        R[0, 0] -= delta * delta
+        se = np.sqrt(theta.sigma_e2)
+        e1 = eye[0]
+        E11 = np.outer(e1, e1)
+        R = eye - delta * delta * E11
         V = theta.sigma_s2 * J + theta.sigma_e2 * R
-        d = np.zeros(pm)
-        d[0] = np.sqrt(theta.sigma_e2) * delta
+        d = se * delta * e1
+        if not derivatives:
+            return V, d
+        Rl = -2.0 * delta * ddelta * E11
+        Rll = -2.0 * (delta * d2delta + ddelta * ddelta) * E11
+        V_first = [R, J, theta.sigma_e2 * Rl]
+        d_first = [delta / (2.0 * se) * e1, np.zeros(pm), se * ddelta * e1]
+        V_second = {(0, 2): Rl, (2, 2): theta.sigma_e2 * Rll}
+        d_second = {
+            (0, 0): -delta / (4.0 * se**3) * e1,
+            (0, 2): ddelta / (2.0 * se) * e1,
+            (2, 2): se * d2delta * e1,
+        }
     elif theta.scenario is Scenario.EFFECT_SN:
-        V = theta.sigma_s2 * (1.0 - delta * delta) * J + theta.sigma_e2 * np.eye(pm)
-        d = np.full(pm, np.sqrt(theta.sigma_s2) * delta)
+        ss = np.sqrt(theta.sigma_s2)
+        ones = np.ones(pm)
+        Rs = 1.0 - delta * delta
+        V = theta.sigma_s2 * Rs * J + theta.sigma_e2 * eye
+        d = np.full(pm, ss * delta)
+        if not derivatives:
+            return V, d
+        Rl = -2.0 * delta * ddelta
+        Rll = -2.0 * (delta * d2delta + ddelta * ddelta)
+        V_first = [eye, Rs * J, theta.sigma_s2 * Rl * J]
+        d_first = [np.zeros(pm), delta / (2.0 * ss) * ones, ss * ddelta * ones]
+        V_second = {(1, 2): Rl * J, (2, 2): theta.sigma_s2 * Rll * J}
+        d_second = {
+            (1, 1): -delta / (4.0 * ss**3) * ones,
+            (1, 2): ddelta / (2.0 * ss) * ones,
+            (2, 2): ss * d2delta * ones,
+        }
     else:
-        V = theta.sigma_s2 * J + theta.sigma_e2 * np.eye(pm)
+        V = theta.sigma_s2 * J + theta.sigma_e2 * eye
         d = np.zeros(pm)
-    return V, d
+        if not derivatives:
+            return V, d
+        V_first = [eye, J, np.zeros((pm, pm))]
+        d_first = [np.zeros(pm)] * 3
+        V_second = {}
+        d_second = {}
+    return V, d, V_first, d_first, V_second, d_second
 
 
 def kernel(theta: ThetaState, pm: int) -> Kernel:
@@ -203,60 +251,6 @@ def residuals(data: TrialData, beta: np.ndarray) -> np.ndarray:
     """R = y - X beta, one row per subject, as one matrix-vector product."""
     n, pm, q = data.X.shape
     return data.y - (data.X.reshape(-1, q) @ beta).reshape(n, pm)
-
-
-def _xi_derivatives(theta: ThetaState, pm: int):
-    """First and second derivatives of (V, d) in xi = (se2, ss2, lambda).
-
-    Returns (V_first, d_first, V_second, d_second) where the firsts are
-    length-3 lists and the seconds are dicts keyed by upper-triangle index
-    pairs; absent keys mean a zero derivative.
-    """
-    lam = theta.lam
-    delta = delta_of_lambda(lam)
-    one_p = 1.0 + lam * lam
-    ddelta = one_p**-1.5
-    d2delta = -3.0 * lam * one_p**-2.5
-    ones = np.ones(pm)
-    J = np.ones((pm, pm))
-    eye = np.eye(pm)
-    E11 = np.zeros((pm, pm))
-    E11[0, 0] = 1.0
-    e1 = np.zeros(pm)
-    e1[0] = 1.0
-
-    if theta.scenario is Scenario.ERROR_SN:
-        se = np.sqrt(theta.sigma_e2)
-        R = eye - delta * delta * E11
-        Rl = -2.0 * delta * ddelta * E11
-        Rll = -2.0 * (delta * d2delta + ddelta * ddelta) * E11
-        V_first = [R, J, theta.sigma_e2 * Rl]
-        d_first = [delta / (2.0 * se) * e1, np.zeros(pm), se * ddelta * e1]
-        V_second = {(0, 2): Rl, (2, 2): theta.sigma_e2 * Rll}
-        d_second = {
-            (0, 0): -delta / (4.0 * se**3) * e1,
-            (0, 2): ddelta / (2.0 * se) * e1,
-            (2, 2): se * d2delta * e1,
-        }
-    elif theta.scenario is Scenario.EFFECT_SN:
-        ss = np.sqrt(theta.sigma_s2)
-        Rs = 1.0 - delta * delta
-        Rl = -2.0 * delta * ddelta
-        Rll = -2.0 * (delta * d2delta + ddelta * ddelta)
-        V_first = [eye, Rs * J, theta.sigma_s2 * Rl * J]
-        d_first = [np.zeros(pm), delta / (2.0 * ss) * ones, ss * ddelta * ones]
-        V_second = {(1, 2): Rl * J, (2, 2): theta.sigma_s2 * Rll * J}
-        d_second = {
-            (1, 1): -delta / (4.0 * ss**3) * ones,
-            (1, 2): ddelta / (2.0 * ss) * ones,
-            (2, 2): ss * d2delta * ones,
-        }
-    else:
-        V_first = [eye, J, np.zeros((pm, pm))]
-        d_first = [np.zeros(pm)] * 3
-        V_second = {}
-        d_second = {}
-    return V_first, d_first, V_second, d_second
 
 
 # ---------------------------------------------------------------------------
@@ -285,13 +279,16 @@ def e_step(theta: ThetaState, data: TrialData) -> EStepCache:
         eta  = d' V^{-1} u / (1 + d' V^{-1} d),
         zeta^2 = 1 / (1 + d' V^{-1} d),
 
-    and (T01, T02) are the positive-truncated N(eta, zeta^2) moments.
+    and (T01, T02) are the positive-truncated N(eta, zeta^2) moments.  The
+    marginal log-likelihood at theta comes from the same R and R A.
     """
     k = kernel(theta, data.layout.pm)
     zeta2 = 1.0 / (1.0 + k.c)
-    eta = (residuals(data, theta.beta) @ k.A) * zeta2
+    R = residuals(data, theta.beta)
+    u = R @ k.A
+    eta = u * zeta2
     T01, T02 = conditional_t_moments(eta, np.sqrt(zeta2))
-    return EStepCache(kernel=k, zeta2=zeta2, eta=eta, T01=T01, T02=T02)
+    return EStepCache(kernel=k, zeta2=zeta2, eta=eta, T01=T01, T02=T02, loglik=_loglik(k, R, u))
 
 
 def update_beta(theta: ThetaState, data: TrialData, cache: EStepCache) -> np.ndarray:
@@ -323,11 +320,9 @@ def _xtwy(data: TrialData, W: np.ndarray) -> np.ndarray:
 def _gls(data: TrialData, Vinv: np.ndarray, offset=0.0) -> np.ndarray:
     """Solve (sum X' V^{-1} X) beta = sum X' V^{-1} y - offset over all subjects.
 
-    Both sides are contractions of V^{-1} with the design moments, so no
-    per-subject array is touched; the standard errors' beta-beta block uses
-    the same contraction with Sigma^{-1}, one more sufficient statistic.
-    Raises RankDeficiencyError naming the dependent columns when the pooled
-    normal equations are singular.
+    Both sides come from the design moments, as does the standard errors'
+    beta-beta block (with Sigma^{-1}).  Raises RankDeficiencyError naming
+    the dependent columns when the pooled normal equations are singular.
     """
     M = _xtwx(data, Vinv)
     rhs = _xtwy(data, Vinv) - offset
@@ -354,76 +349,47 @@ def _q_statistics(theta: ThetaState, data: TrialData, cache: EStepCache):
     return R.T @ R, cache.T01 @ R, float(cache.T02.sum())
 
 
-def q_value(theta: ThetaState, data: TrialData, cache: EStepCache) -> float:
-    """Expected complete-data log-likelihood at theta, T01/T02 frozen.
+def _q_terms(theta: ThetaState, n: int, stats, order: int):
+    """Q at theta and, for ``order`` 1 or 2, its xi-gradient and xi-Hessian.
 
-    Q = -1/2 sum_ij [ log|V| + (1 + d'V^{-1}d) T02 + u' V^{-1} (u - 2 d T01) ]
-      = -1/2 [ n log|V| + (1 + c) sum T02 + tr(V^{-1} S) - 2 A'r ].
+    ``stats`` is (S, r, sum T02) from ``_q_statistics``; returns (Q, gradient,
+    Hessian) with None for the orders not asked for.  Q and every derivative
+    have the form -1/2 [ n t + q sum T02 + tr(M S) - 2 w'r ]:
+
+        Q:          t = log|V|, q = 1 + c, M = V^{-1}, w = A;
+        dQ/dxi_a:   t = tr P_a, M = W_a = -P_a V^{-1}, w = W_a d + V^{-1} d_a,
+                    with P_a = V^{-1} V_a;
+        Hessian:    M = S_ab = (P_a P_b + P_b P_a) V^{-1} - V^{-1} V_ab V^{-1},
+                    the exact second derivative of V^{-1}.
+
+    For the normal baseline the lambda components are identically zero.
     """
-    k = kernel(theta, data.layout.pm)
-    S, r, sum_T02 = _q_statistics(theta, data, cache)
-    return -0.5 * (
-        data.n_subjects * k.logdet
-        + (1.0 + k.c) * sum_T02
-        + float(np.vdot(k.Vinv, S))
-        - 2.0 * float(k.A @ r)
-    )
-
-
-def q_gradient(theta: ThetaState, data: TrialData, cache: EStepCache) -> np.ndarray:
-    """Analytic gradient of the Q-function in xi = (sigma_e2, sigma_s2, lambda).
-
-    T01/T02 are held fixed at the cached E-step values.  For the normal
-    baseline the third component is identically zero (lambda pinned).  With
-    W_a = -V^{-1} V_a V^{-1} the data term of component a is
-    tr(W_a S) - 2 w_a'r, w_a = W_a d + V^{-1} d_a.
-    """
-    pm = data.layout.pm
-    k = kernel(theta, pm)
-    V_first, d_first, _, _ = _xi_derivatives(theta, pm)
-    S, r, sum_T02 = _q_statistics(theta, data, cache)
-    grad = np.zeros(3)
-    for a in range(3):
-        Pa = k.Vinv @ V_first[a]
-        Wa = -Pa @ k.Vinv
-        qd = float(k.d @ Wa @ k.d) + 2.0 * float(k.A @ d_first[a])
-        w = Wa @ k.d + k.Vinv @ d_first[a]
-        grad[a] = -0.5 * (
-            data.n_subjects * float(np.trace(Pa))
-            + qd * sum_T02
-            + float(np.vdot(Wa, S))
-            - 2.0 * float(w @ r)
-        )
-    return grad
-
-
-def q_hessian(theta: ThetaState, data: TrialData, cache: EStepCache) -> np.ndarray:
-    """Analytic Hessian of the Q-function in xi, symmetric by construction.
-
-    Uses the exact second derivative of V^{-1},
-
-        S_ab = V^{-1} V_a V^{-1} V_b V^{-1} + V^{-1} V_b V^{-1} V_a V^{-1}
-               - V^{-1} V_ab V^{-1},
-
-    whose data term is tr(S_ab S), so the matrix agrees with finite
-    differences of the gradient entrywise.
-    """
-    pm = data.layout.pm
+    S, r, sum_T02 = stats
+    pm = S.shape[0]
     k = kernel(theta, pm)
     Vinv, d = k.Vinv, k.d
-    V_first, d_first, V_second, d_second = _xi_derivatives(theta, pm)
-    S, r, sum_T02 = _q_statistics(theta, data, cache)
-    zeros_m = np.zeros((pm, pm))
-    zeros_v = np.zeros(pm)
+
+    def term(t, q, M, w):
+        return -0.5 * (n * t + q * sum_T02 + float(np.vdot(M, S)) - 2.0 * float(w @ r))
+
+    value = term(k.logdet, 1.0 + k.c, Vinv, k.A)
+    if order == 0:
+        return value, None, None
+    _, _, V_first, d_first, V_second, d_second = assemble(theta, pm, derivatives=True)
     P = [Vinv @ V_first[a] for a in range(3)]
     W = [-P[a] @ Vinv for a in range(3)]
+    grad = np.zeros(3)
+    for a in range(3):
+        qd = float(d @ W[a] @ d) + 2.0 * float(k.A @ d_first[a])
+        grad[a] = term(float(np.trace(P[a])), qd, W[a], W[a] @ d + Vinv @ d_first[a])
+    if order == 1:
+        return value, grad, None
     H = np.zeros((3, 3))
     for a in range(3):
         for b in range(a, 3):
-            V_ab = V_second.get((a, b), zeros_m)
-            d_ab = d_second.get((a, b), zeros_v)
+            V_ab = V_second.get((a, b), np.zeros((pm, pm)))
+            d_ab = d_second.get((a, b), np.zeros(pm))
             S_ab = (P[a] @ P[b] + P[b] @ P[a]) @ Vinv - Vinv @ V_ab @ Vinv
-            tr_term = -float(np.trace(P[b] @ P[a])) + float(np.trace(Vinv @ V_ab))
             qd = (
                 float(d @ S_ab @ d)
                 + 2.0 * float(d @ W[a] @ d_first[b])
@@ -431,15 +397,28 @@ def q_hessian(theta: ThetaState, data: TrialData, cache: EStepCache) -> np.ndarr
                 + 2.0 * float(d @ W[b] @ d_first[a])
                 + 2.0 * float(k.A @ d_ab)
             )
-            w_vec = S_ab @ d + W[a] @ d_first[b] + W[b] @ d_first[a] + Vinv @ d_ab
-            H[a, b] = -0.5 * (
-                data.n_subjects * tr_term
-                + qd * sum_T02
-                + float(np.vdot(S_ab, S))
-                - 2.0 * float(w_vec @ r)
+            H[a, b] = H[b, a] = term(
+                -float(np.trace(P[b] @ P[a])) + float(np.trace(Vinv @ V_ab)),
+                qd,
+                S_ab,
+                S_ab @ d + W[a] @ d_first[b] + W[b] @ d_first[a] + Vinv @ d_ab,
             )
-            H[b, a] = H[a, b]
-    return H
+    return value, grad, H
+
+
+def q_value(theta: ThetaState, data: TrialData, cache: EStepCache) -> float:
+    """Expected complete-data log-likelihood at theta, T01/T02 frozen."""
+    return _q_terms(theta, data.n_subjects, _q_statistics(theta, data, cache), 0)[0]
+
+
+def q_gradient(theta: ThetaState, data: TrialData, cache: EStepCache) -> np.ndarray:
+    """Analytic gradient of Q in xi = (sigma_e2, sigma_s2, lambda), T01/T02 frozen."""
+    return _q_terms(theta, data.n_subjects, _q_statistics(theta, data, cache), 1)[1]
+
+
+def q_hessian(theta: ThetaState, data: TrialData, cache: EStepCache) -> np.ndarray:
+    """Analytic Hessian of Q in xi, symmetric by construction."""
+    return _q_terms(theta, data.n_subjects, _q_statistics(theta, data, cache), 2)[2]
 
 
 def nr_step(
@@ -453,15 +432,18 @@ def nr_step(
     Starts from xi - H^{-1} grad; falls back to a scaled gradient-ascent
     direction when H is singular or the Newton direction is not an ascent
     direction; halves the step (at most 30 times) until Q does not decrease
-    and the variance components stay above 1e-10.  Returns (xi_new,
+    and the variance components stay above 1e-10.  The Q statistics are
+    formed once, since beta and T01/T02 stay fixed.  Returns (xi_new,
     stalled); a stalled step returns the current xi unchanged.
     """
     if active is None:
         active = np.array([True, True, theta.scenario is not Scenario.NORMAL])
+    n = data.n_subjects
+    stats = _q_statistics(theta, data, cache)
     xi0 = theta.xi
-    q0 = q_value(theta, data, cache)
-    grad = q_gradient(theta, data, cache)[active]
-    hess = q_hessian(theta, data, cache)[np.ix_(active, active)]
+    q0, grad, hess = _q_terms(theta, n, stats, 2)
+    grad = grad[active]
+    hess = hess[np.ix_(active, active)]
     step_act = None
     try:
         cand = -np.linalg.solve(hess, grad)
@@ -482,7 +464,7 @@ def nr_step(
         if xi_try[0] <= _VARIANCE_FLOOR or xi_try[1] <= _VARIANCE_FLOOR:
             continue
         try:
-            q_try = q_value(theta.with_xi(xi_try), data, cache)
+            q_try = _q_terms(theta.with_xi(xi_try), n, stats, 0)[0]
         except np.linalg.LinAlgError:
             continue
         if np.isfinite(q_try) and q_try >= q0 - 1e-12:
@@ -495,25 +477,28 @@ def nr_step(
 # ---------------------------------------------------------------------------
 
 
-def marginal_loglik(theta: ThetaState, data: TrialData, k: Kernel | None = None) -> float:
+def marginal_loglik(theta: ThetaState, data: TrialData) -> float:
     """Observed-data log-likelihood, latent half-normal integrated out.
 
     Per subject, f(y) = 2 phi_pm(y | X beta, Sigma) Phi(eta / zeta) with
     Sigma = V + d d'; the rank-one structure gives
     log|Sigma| = log|V| + log(1 + d'V^{-1}d) and the Sherman-Morrison
     quadratic form, summed over subjects as tr(V^{-1} S) - u'u / (1 + c)
-    with u = R A.  ``k`` is the kernel at theta, built here when omitted.
+    with u = R A.
     """
-    pm = data.layout.pm
-    if k is None:
-        k = kernel(theta, pm)
+    k = kernel(theta, data.layout.pm)
     R = residuals(data, theta.beta)
-    u = R @ k.A
+    return _loglik(k, R, R @ k.A)
+
+
+def _loglik(k: Kernel, R: np.ndarray, u: np.ndarray) -> float:
+    """``marginal_loglik`` from the kernel, the residuals R and u = R A at one theta."""
+    n, pm = R.shape
     quad = float(np.vdot(k.Vinv, R.T @ R)) - float(u @ u) / (1.0 + k.c)
     eta = u / (1.0 + k.c)
     zeta = np.sqrt(1.0 / (1.0 + k.c))
     const = np.log(2.0) - 0.5 * pm * _LOG_2PI - 0.5 * (k.logdet + np.log1p(k.c))
-    return float(data.n_subjects * const - 0.5 * quad + special.log_ndtr(eta / zeta).sum())
+    return float(n * const - 0.5 * quad + special.log_ndtr(eta / zeta).sum())
 
 
 def initialize(
@@ -578,14 +563,8 @@ def corrected_intercept(theta: ThetaState) -> float:
     Reported alongside the raw intercept, never substituted for it.  For
     the baseline (or lambda = 0) it equals the raw intercept.
     """
-    delta = delta_of_lambda(theta.lam)
-    if theta.scenario is Scenario.ERROR_SN:
-        d1 = np.sqrt(theta.sigma_e2) * delta
-    elif theta.scenario is Scenario.EFFECT_SN:
-        d1 = np.sqrt(theta.sigma_s2) * delta
-    else:
-        d1 = 0.0
-    return float(theta.beta[0] + d1 * SQRT_2_OVER_PI)
+    _, d = assemble(theta, 1)
+    return float(theta.beta[0] + d[0] * SQRT_2_OVER_PI)
 
 
 def _free_vector(theta: ThetaState, include_lambda: bool) -> np.ndarray:
@@ -616,7 +595,7 @@ def _loglik_derivatives(
                     - 1/2 tr((Sigma^{-1})_ab R'R)
                     + sum zeta2 (alpha_a'r)(alpha_b'r) + sum zeta1 alpha_ab'r.
 
-    The derivatives of Sigma, A, c and alpha follow from ``_xi_derivatives``.
+    The derivatives of Sigma, A, c and alpha follow from ``assemble``.
     The data enter through R'R, R [alpha, alpha_a, alpha_ab], the design
     moments and two products with the flattened design; nothing per subject
     is formed beyond n-vectors.  Returns (score, Hessian), the Hessian None
@@ -628,7 +607,7 @@ def _loglik_derivatives(
     n, q = data.n_subjects, data.layout.n_fixed
     m = 3 if include_lambda else 2
     k = kernel(theta, pm)
-    V1, d1, V2, d2 = _xi_derivatives(theta, pm)
+    _, _, V1, d1, V2, d2 = assemble(theta, pm, derivatives=True)
     Vinv, d, A = k.Vinv, k.d, k.A
     s = np.sqrt(1.0 + k.c)
     Sinv = Vinv - np.outer(A, A) / (1.0 + k.c)
@@ -718,10 +697,8 @@ def standard_errors(
 ) -> np.ndarray:
     """SEs from the analytic observed information of the marginal log-likelihood.
 
-    Like Q, the information uses the data only through sufficient
-    statistics (R'R, the projections of R on alpha and its derivatives, and
-    the design moments), so no likelihood is evaluated here.  SE_k is the
-    square root of the k-th diagonal entry of the inverse information.
+    SE_k is the square root of the k-th diagonal entry of the inverse
+    information; no likelihood is evaluated.
 
     Singularity is judged on D I D, where D holds each parameter's natural
     size, so the verdict does not depend on the units of y or of a design
@@ -772,16 +749,16 @@ def fit(
     lambda_free = scenario is not Scenario.NORMAL and not freeze_lambda
     active = np.array([True, True, lambda_free])
     theta = initialize(data, scenario, freeze_lambda=freeze_lambda)
-    trajectory = [marginal_loglik(theta, data)]
+    trajectory = []
     converged = False
     iterations = 0
     for it in range(1, max_iter + 1):
         cache = e_step(theta, data)
+        trajectory.append(cache.loglik)
         beta_new = update_beta(theta, data, cache)
         theta_b = replace(theta, beta=beta_new)
         xi_new, _ = nr_step(theta_b, data, cache, active)
         theta_new = theta_b.with_xi(xi_new)
-        trajectory.append(marginal_loglik(theta_new, data))
         delta = max(
             float(np.max(np.abs(beta_new - theta.beta))),
             float(np.max(np.abs((xi_new - theta.xi)[active]), initial=0.0)),
@@ -792,14 +769,13 @@ def fit(
             converged = True
             break
 
+    trajectory.append(marginal_loglik(theta, data))
     loglik = trajectory[-1]
-    k = data.layout.n_fixed + int(active.sum())
-    n_obs = data.n_obs
-    aic, bic = aic_bic(loglik, k, n_obs)
-    se = standard_errors(theta, data, include_lambda=lambda_free) if compute_se else None
     names = list(data.param_names) + ["sigma_e2", "sigma_s2"]
     if lambda_free:
         names.append("lambda")
+    aic, bic = aic_bic(loglik, len(names), data.n_obs)
+    se = standard_errors(theta, data, include_lambda=lambda_free) if compute_se else None
     lambda_warning = lambda_free and abs(theta.lam) < LAMBDA_SINGULARITY_THRESHOLD
     if lambda_warning:
         warnings.warn(
@@ -818,7 +794,7 @@ def fit(
         iterations=iterations,
         converged=converged,
         trajectory=trajectory,
-        n_free=k,
-        n_obs=n_obs,
+        n_free=len(names),
+        n_obs=data.n_obs,
         lambda_warning=lambda_warning,
     )

@@ -37,7 +37,7 @@ from .design import (
     fixed_effect_index,
     per_pattern,
 )
-from .em import FitResult, Scenario, ThetaState, fit
+from .em import FitResult, Scenario, ThetaState, _free_vector, fit
 from .skewnormal import RngStream, SnRestrictedMultivariate, SnUnivariate, sn_sample, sn_sample_vector
 
 DEFAULT_REPLICATES = 50  # desk scale; the full study uses 200
@@ -63,7 +63,7 @@ def default_layout(n_per_seq: int = 30) -> CrossoverLayout:
     )
 
 
-def default_true_theta(scenario: Scenario, layout: CrossoverLayout | None = None) -> ThetaState:
+def default_true_theta(scenario: Scenario) -> ThetaState:
     """The study's true parameter values for a skew scenario."""
     if scenario not in _TRUE_BETA:
         raise ValueError(f"no default truths for scenario {scenario}")
@@ -207,12 +207,10 @@ def selection_rate(sn_aic, normal_aic) -> float:
     return float(np.mean(sn_aic < normal_aic))
 
 
-def _param_names(config: SimConfig) -> tuple[str, ...]:
-    return tuple(fixed_effect_index(config.layout)) + ("sigma_e2", "sigma_s2", "lambda")
-
-
-def _estimates_true(theta: ThetaState) -> np.ndarray:
-    return np.array(list(theta.beta) + [theta.sigma_e2, theta.sigma_s2, theta.lam])
+def _truths(config: SimConfig) -> dict[str, float]:
+    """True value of every parameter, beta first, then sigma_e2, sigma_s2, lambda."""
+    names = tuple(fixed_effect_index(config.layout)) + ("sigma_e2", "sigma_s2", "lambda")
+    return dict(zip(names, _free_vector(config.true_theta, True)))
 
 
 def _summarize(
@@ -268,8 +266,7 @@ def aggregate(config: SimConfig, results: list[ReplicateFits]) -> McSummary:
         raise RuntimeError("no replicate produced two converged fits")
     sn_names = ok[0].sn.param_names
     n_names = ok[0].normal.param_names
-    all_names = _param_names(config)
-    truth_all = dict(zip(all_names, _estimates_true(config.true_theta)))
+    truth_all = _truths(config)
     sn_truth = np.array([truth_all[n] for n in sn_names])
     n_truth = np.array([truth_all[n] for n in n_names])
     sn_est = np.array([r.sn.estimates for r in ok])
@@ -294,17 +291,14 @@ def summary_rows(summary: McSummary) -> list[list[str]]:
     The sd_estimate columns (spread of the estimates across replicates) sit
     beside the mean reported SEs for comparison.
     """
-    config = summary.config
-    all_names = _param_names(config)
-    truth_all = dict(zip(all_names, _estimates_true(config.true_theta)))
     header = [
         "parameter", "true",
         "sn_estimate", "sn_se", "sn_abs_bias", "sn_sd_estimate",
         "normal_estimate", "normal_se", "normal_abs_bias", "normal_sd_estimate",
     ]
     rows = [header]
-    for name in all_names:
-        row = [name, repr(float(truth_all[name]))]
+    for name, truth in _truths(summary.config).items():
+        row = [name, repr(float(truth))]
         for model in (summary.sn, summary.normal):
             if name in model.names:
                 i = model.names.index(name)

@@ -35,8 +35,8 @@ from sncross import (
     standard_errors,
     update_beta,
 )
+from sncross import em
 from sncross.design import DesignMoments
-from sncross.em import _xi_derivatives
 from sncross.simulate import default_layout
 
 SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
@@ -240,7 +240,7 @@ def e_step_stub_cache():
     )
     return EStepCache(
         kernel=k, zeta2=1.0 / 1.75,
-        eta=np.zeros(1), T01=np.array([1.0]), T02=np.array([1.0]),
+        eta=np.zeros(1), T01=np.array([1.0]), T02=np.array([1.0]), loglik=0.0,
     )
 
 
@@ -343,10 +343,10 @@ def test_second_derivative_structural_pattern():
     # second derivative of V are structurally nonzero; effect-SN mirrors
     # with (ss2, lambda).
     theta_e = ThetaState(np.zeros(2), 1.0, 1.0, 0.0, Scenario.ERROR_SN)
-    _, _, V_second, _ = _xi_derivatives(theta_e, 4)
+    V_second = assemble(theta_e, 4, derivatives=True)[4]
     assert set(V_second) == {(0, 2), (2, 2)}
     theta_b = ThetaState(np.zeros(2), 1.0, 1.0, 0.5, Scenario.EFFECT_SN)
-    _, _, V_second_b, _ = _xi_derivatives(theta_b, 4)
+    V_second_b = assemble(theta_b, 4, derivatives=True)[4]
     assert set(V_second_b) == {(1, 2), (2, 2)}
 
 
@@ -479,6 +479,24 @@ def test_fit_trajectory_non_decreasing(medium_error_sn_data):
     res = fit(medium_error_sn_data, Scenario.ERROR_SN, compute_se=False)
     assert res.converged
     assert np.all(np.diff(res.trajectory) >= -1e-8)
+
+
+@pytest.mark.parametrize("scenario", [Scenario.ERROR_SN, Scenario.EFFECT_SN, Scenario.NORMAL])
+def test_fit_forms_residuals_twice_per_iteration(scenario, small_error_sn_data, monkeypatch):
+    """R = y - X beta is formed once in the E-step and once for the M-step's Q
+    statistics, plus once in ``initialize`` and once for the final log-likelihood."""
+    calls = []
+    original = em.residuals
+
+    def counted(data, beta):
+        calls.append(1)
+        return original(data, beta)
+
+    monkeypatch.setattr(em, "residuals", counted)
+    res = fit(small_error_sn_data, scenario, compute_se=False)
+    assert res.iterations >= 2
+    assert len(res.trajectory) == res.iterations + 1
+    assert len(calls) <= 2 * res.iterations + 2
 
 
 def test_fit_recovers_truth_roughly(medium_error_sn_data):
